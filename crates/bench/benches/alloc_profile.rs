@@ -158,6 +158,7 @@ fn main() {
             apots_serde::Json::from(if smoke { "smoke" } else { "measure" }),
         );
         root.insert("threads".into(), apots_serde::Json::from(1.0));
+        root.insert("host".into(), apots_bench::host_json());
         root.insert(
             "runs".into(),
             apots_serde::Json::Arr(

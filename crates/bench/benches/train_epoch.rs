@@ -1,6 +1,7 @@
-//! **Training-epoch bench** — one full optimisation epoch (plain and
-//! adversarial) at pinned thread counts, so the bench trajectory records
-//! how much of the kernel-level speedup survives end-to-end training.
+//! **Training-epoch bench** — one full optimisation epoch (plain, the
+//! adversarial trainer's plain warm-up, and real adversarial batches) at
+//! pinned thread counts, so the bench trajectory records how much of the
+//! kernel-level speedup survives end-to-end training.
 //!
 //! Pairs with `parallel_kernels.rs`: that file measures the individual
 //! matmul / conv / elementwise kernels, this one measures the composite
@@ -62,16 +63,24 @@ fn bench_adversarial_epoch(c: &mut Criterion) {
     let mut cfg = TrainConfig::fast_adversarial(FeatureMask::BOTH);
     cfg.epochs = 1;
     cfg.max_train_samples = Some(256);
-    for threads in [1usize, 4] {
-        c.bench_function(&format!("adv_epoch_256_H_threads{threads}"), |b| {
-            with_threads(threads, || {
-                b.iter(|| {
-                    let mut p = build_predictor(kind, HyperPreset::Fast, &data, 1);
-                    let mut d = build_discriminator(&data, &cfg);
-                    black_box(train_apots_with(p.as_mut(), &mut d, &data, &cfg))
+    // `fast_adversarial` opens with `adv_warmup_epochs = 6` plain epochs, so
+    // a one-epoch run of it never leaves warm-up; `adv_epoch_*` skips
+    // warm-up and times real adversarial batches (the D step and the
+    // 2α-window P step).
+    let warmup = cfg.adv_warmup_epochs;
+    for (name, warmup) in [("adv_warmup_epoch_256_H", warmup), ("adv_epoch_256_H", 0)] {
+        cfg.adv_warmup_epochs = warmup;
+        for threads in [1usize, 4] {
+            c.bench_function(&format!("{name}_threads{threads}"), |b| {
+                with_threads(threads, || {
+                    b.iter(|| {
+                        let mut p = build_predictor(kind, HyperPreset::Fast, &data, 1);
+                        let mut d = build_discriminator(&data, &cfg);
+                        black_box(train_apots_with(p.as_mut(), &mut d, &data, &cfg))
+                    })
                 })
-            })
-        });
+            });
+        }
     }
 }
 

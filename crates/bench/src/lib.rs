@@ -56,6 +56,19 @@ impl BenchResult {
     }
 }
 
+/// Host facts written next to every figure in a `BENCH_*.json`: logical
+/// CPUs and the pool's default thread count (`APOTS_THREADS`, else the
+/// CPUs). A bench named `threadsN` pins `N` itself, so a `threads4` figure
+/// from a host with `nproc: 2` reads as oversubscribed.
+#[must_use]
+pub fn host_json() -> apots_serde::Json {
+    let nproc = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+    apots_serde::json!({
+        "nproc": nproc,
+        "pool_threads": apots_par::current_threads()
+    })
+}
+
 /// How the harness was invoked (criterion-compatible flag handling).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Mode {
@@ -239,6 +252,7 @@ impl Criterion {
                 "measure"
             }),
         );
+        obj.insert("host".into(), host_json());
         obj.insert(
             "results".into(),
             apots_serde::Json::Arr(self.results.iter().map(BenchResult::to_json).collect()),
@@ -381,6 +395,14 @@ mod tests {
         assert!((percentile(&xs, 100.0) - 4.0).abs() < 1e-12);
         assert!((percentile(&xs, 50.0) - 2.5).abs() < 1e-12);
         assert_eq!(percentile(&[7.0], 95.0), 7.0);
+    }
+
+    #[test]
+    fn host_facts_name_cpus_and_pool_threads() {
+        let host = host_json();
+        let nproc = host.get("nproc").and_then(|v| v.as_f64()).unwrap();
+        let threads = host.get("pool_threads").and_then(|v| v.as_f64()).unwrap();
+        assert!(nproc >= 1.0 && threads >= 1.0, "{host:?}");
     }
 
     #[test]

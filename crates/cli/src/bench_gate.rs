@@ -279,6 +279,25 @@ mod tests {
         assert!(err.contains("out of range"), "{err}");
     }
 
+    /// Bench reports carry a `host` object next to their entries; the
+    /// gate reads the entries and ignores it.
+    #[test]
+    fn reads_fresh_values_next_to_host_facts() {
+        let dir = std::env::temp_dir().join(format!("apots-gate-host-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(
+            dir.join("BENCH_x.json"),
+            r#"{"target": "x", "mode": "smoke",
+                "host": {"nproc": 2, "pool_threads": 2},
+                "results": [{"name": "a", "median_ns": 110.0}]}"#,
+        )
+        .unwrap();
+        let (_, metrics) = parse_baselines(BASE, "t").unwrap();
+        let fresh = fresh_value(&dir, &metrics[0]);
+        let _ = std::fs::remove_dir_all(&dir);
+        assert_eq!(fresh, Ok(110.0));
+    }
+
     #[test]
     fn round_trips_through_render() {
         let (tol, metrics) = parse_baselines(BASE, "t").unwrap();

@@ -20,6 +20,7 @@ use apots::trainer::train_with_options;
 use apots_check::{check_with, prop_assert, Config as CheckConfig, Rng};
 use apots_nn::conv::Conv2d;
 use apots_nn::layer::Layer;
+use apots_nn::Lstm;
 use apots_tensor::rng::seeded;
 use apots_tensor::{reference, Tensor};
 use apots_traffic::calendar::Calendar;
@@ -108,6 +109,172 @@ fn matmul_kernels_bit_identical_for_any_thread_count() {
             Ok(())
         },
     );
+}
+
+// ---------------------------------------------------------------------
+// a·bᵀ at the sizes the trainer runs: above the pool grain, so the pooled
+// path over the transposed copy of `b` is what gets checked.
+// ---------------------------------------------------------------------
+
+/// Bit patterns with every NaN mapped to one quiet NaN. IEEE 754 leaves
+/// the payload and sign of a NaN result open (and LLVM may commute the
+/// operands of a float add), so "the same NaN" means "NaN in the same
+/// place"; every other value is compared bit for bit.
+fn canonical_bits(v: &[f32]) -> Vec<u32> {
+    v.iter()
+        .map(|x| {
+            if x.is_nan() {
+                f32::NAN.to_bits()
+            } else {
+                x.to_bits()
+            }
+        })
+        .collect()
+}
+
+/// `a · bᵀ` through `matmul_a_bt` and `matmul_a_bt_into` at T ∈ {1, 2, 4},
+/// each against the naive reference loop.
+fn assert_a_bt_matches_reference(a: &Tensor, b: &Tensor) {
+    let (m, k, n) = (a.shape()[0], a.shape()[1], b.shape()[0]);
+    let want = canonical_bits(&reference::matmul_a_bt(a.data(), b.data(), m, k, n));
+    for t in [1usize, 2, 4] {
+        let got = with_threads(t, || a.matmul_a_bt(b));
+        assert!(
+            canonical_bits(got.data()) == want,
+            "matmul_a_bt {m}x{k}·[{n}x{k}]ᵀ diverged from reference at T={t}"
+        );
+        // A dirty output buffer proves `_into` zeroes before accumulating.
+        let mut into = Tensor::new(&[m * n], vec![7.0; m * n]);
+        with_threads(t, || a.matmul_a_bt_into(b, &mut into));
+        assert_eq!(into.shape(), &[m, n]);
+        assert!(
+            canonical_bits(into.data()) == want,
+            "matmul_a_bt_into {m}x{k}·[{n}x{k}]ᵀ diverged from reference at T={t}"
+        );
+    }
+}
+
+#[test]
+fn matmul_a_bt_bit_identical_at_trainer_shapes() {
+    let _guard = pool_lock();
+    let mut rng = seeded(2024);
+    for &(m, k, n) in &[
+        // The LSTM's input and recurrent gradients (B=64, 4H=128, I=60,
+        // H=32) and the H predictor's Conv2d patch gradient.
+        (64usize, 128usize, 60usize),
+        (64, 128, 32),
+        (3840, 12, 54),
+        // Ragged tails: m % 4 != 0, and n off the 16/8/4-wide column tiles.
+        (67, 128, 61),
+        (301, 40, 22),
+        (1029, 96, 3),
+        (3843, 12, 53),
+    ] {
+        // 2^18 MACs is the pool grain in `apots-tensor`.
+        assert!(m * k * n >= 1 << 18, "{m}x{k}x{n} would stay serial");
+        let a = Tensor::rand_uniform(&[m, k], -2.0, 2.0, &mut rng);
+        let b = Tensor::rand_uniform(&[n, k], -2.0, 2.0, &mut rng);
+        assert_a_bt_matches_reference(&a, &b);
+    }
+}
+
+#[test]
+fn matmul_a_bt_non_finite_operands_match_reference() {
+    let _guard = pool_lock();
+    let mut rng = seeded(2025);
+    for &(m, k, n) in &[(64usize, 128usize, 60usize), (67, 128, 61)] {
+        let mut a = Tensor::rand_uniform(&[m, k], -2.0, 2.0, &mut rng);
+        let mut b = Tensor::rand_uniform(&[n, k], -2.0, 2.0, &mut rng);
+        let ad = a.data_mut();
+        ad[5 * k + 17] = f32::NAN;
+        ad[(m - 1) * k + 3] = f32::INFINITY;
+        ad[2 * k + k - 1] = f32::NEG_INFINITY;
+        // A zero row of `a` against an infinite `b` entry: 0·inf is NaN.
+        ad[9 * k..10 * k].fill(0.0);
+        let bd = b.data_mut();
+        bd[40] = f32::INFINITY;
+        bd[(n - 1) * k + 100] = f32::NEG_INFINITY;
+        bd[3 * k + 64] = f32::NAN;
+        // inf − inf: a +inf and a −inf product in one chain.
+        bd[7 * k + 17] = f32::INFINITY;
+        bd[7 * k + 3] = f32::NEG_INFINITY;
+        assert_a_bt_matches_reference(&a, &b);
+    }
+}
+
+// ---------------------------------------------------------------------
+// LSTM: the gate loop split by batch rows across the pool.
+// ---------------------------------------------------------------------
+
+/// Values of every `det: true` counter, in registry order.
+fn det_counters() -> Vec<(&'static str, u64)> {
+    apots_obs::metrics::ALL_COUNTERS
+        .iter()
+        .filter(|c| c.det())
+        .map(|c| (c.name(), c.get()))
+        .collect()
+}
+
+#[test]
+fn lstm_row_split_bit_identical_for_any_thread_count() {
+    let _guard = pool_lock();
+    struct Disable;
+    impl Drop for Disable {
+        fn drop(&mut self) {
+            apots_obs::disable();
+        }
+    }
+    let _disable = Disable;
+    // B=64, H=32 is the trainer's Fast-H step and splits into 16-row
+    // blocks; B=7 at H=256 splits into blocks of 2, 2, 2, 1 rows; B=1 and
+    // B=7 at H=32 stay on the serial loop at every thread count.
+    for &(b, hsz, input) in &[
+        (1usize, 32usize, 60usize),
+        (7, 32, 5),
+        (7, 256, 5),
+        (64, 32, 60),
+    ] {
+        for seq_mode in [false, true] {
+            let steps = 6;
+            let run = |threads: usize| {
+                with_threads(threads, || {
+                    let mut rng = seeded(31 + b as u64);
+                    let mut lstm = Lstm::new(input, hsz, seq_mode, &mut rng);
+                    let x = Tensor::randn(&[b, steps, input], 0.0, 1.0, &mut rng);
+                    let g_shape: &[usize] = if seq_mode {
+                        &[b, steps, hsz]
+                    } else {
+                        &[b, hsz]
+                    };
+                    let g = Tensor::randn(g_shape, 0.0, 1.0, &mut rng);
+                    apots_obs::enable(None);
+                    let y = lstm.forward(&x, true);
+                    let dx = lstm.backward(&g);
+                    let counters = det_counters();
+                    apots_obs::disable();
+                    let grads: Vec<Vec<u32>> =
+                        lstm.params_mut().iter().map(|p| bits(p.grad)).collect();
+                    (bits(&y), bits(&dx), grads, counters)
+                })
+            };
+            let want = run(1);
+            assert!(
+                want.3.iter().any(|&(_, v)| v > 0),
+                "tracing was off: no det counter moved"
+            );
+            for t in [2usize, 4] {
+                let got = run(t);
+                assert!(
+                    got.0 == want.0 && got.1 == want.1 && got.2 == want.2,
+                    "LSTM B={b} H={hsz} (seq={seq_mode}) diverged between T=1 and T={t}"
+                );
+                assert_eq!(
+                    got.3, want.3,
+                    "LSTM B={b} H={hsz}: det counters moved between T=1 and T={t}"
+                );
+            }
+        }
+    }
 }
 
 // ---------------------------------------------------------------------

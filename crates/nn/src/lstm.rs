@@ -29,6 +29,113 @@ struct StepCache {
     tanh_c: Tensor, // [B, H]
 }
 
+/// Minimum gate pre-activations (`4H` per batch row) each block of the
+/// fused gate loop must own before the loop is split across the pool. A
+/// hidden unit (four pre-activations) costs three `exp` and two `tanh`,
+/// ~50 ns, so a 2048-element block (~25 µs) outweighs one dispatch;
+/// smaller batches stay on the serial loop.
+const GATE_GRAIN: usize = 2048;
+
+/// One timestep's outputs of the fused gate loop for a block of batch
+/// rows: the block's rows of each `[B, H]` step tensor and, in sequence
+/// mode, of the `[B, T, H]` output.
+struct StepOut<'a> {
+    i: &'a mut [f32],
+    f: &'a mut [f32],
+    g: &'a mut [f32],
+    o: &'a mut [f32],
+    c: &'a mut [f32],
+    tanh_c: &'a mut [f32],
+    h: &'a mut [f32],
+    seq: Option<&'a mut [f32]>,
+}
+
+impl<'a> StepOut<'a> {
+    /// Splits off the first `rows` batch rows.
+    fn split_rows(&mut self, rows: usize, hsz: usize, steps: usize) -> StepOut<'a> {
+        fn front<'a>(s: &mut &'a mut [f32], n: usize) -> &'a mut [f32] {
+            let (head, tail) = std::mem::take(s).split_at_mut(n);
+            *s = tail;
+            head
+        }
+        let n = rows * hsz;
+        StepOut {
+            i: front(&mut self.i, n),
+            f: front(&mut self.f, n),
+            g: front(&mut self.g, n),
+            o: front(&mut self.o, n),
+            c: front(&mut self.c, n),
+            tanh_c: front(&mut self.tanh_c, n),
+            h: front(&mut self.h, n),
+            seq: self.seq.as_mut().map(|s| front(s, n * steps)),
+        }
+    }
+}
+
+/// Fused gate split + cell update over the batch rows of `out`: one pass
+/// over their `[rows, 4H]` pre-activations `z` computes every gate and
+/// the new cell / hidden state. Each output element depends only on its
+/// own inputs via the exact expressions of the unfused version (`f·c +
+/// i·g` is evaluated `(f·c) + (i·g)`, no FMA), so the results are
+/// bit-identical however the rows are split (DESIGN.md §9/§10).
+fn gate_rows(z: &[f32], c_prev: &[f32], mut out: StepOut<'_>, hsz: usize, steps: usize, t: usize) {
+    for bi in 0..c_prev.len() / hsz {
+        let zr = &z[bi * 4 * hsz..(bi + 1) * 4 * hsz];
+        for j in 0..hsz {
+            let e = bi * hsz + j;
+            let iv = sigmoid_scalar(zr[j]);
+            let fv = sigmoid_scalar(zr[hsz + j]);
+            let gv = zr[2 * hsz + j].tanh();
+            let ov = sigmoid_scalar(zr[3 * hsz + j]);
+            let cn = fv * c_prev[e] + iv * gv;
+            let tc = cn.tanh();
+            let hn = ov * tc;
+            out.i[e] = iv;
+            out.f[e] = fv;
+            out.g[e] = gv;
+            out.o[e] = ov;
+            out.c[e] = cn;
+            out.tanh_c[e] = tc;
+            out.h[e] = hn;
+            if let Some(sd) = out.seq.as_deref_mut() {
+                sd[(bi * steps + t) * hsz + j] = hn;
+            }
+        }
+    }
+}
+
+/// Batch rows per block when the gate loop of a `[b, 4·hsz]` step is split
+/// across `threads` runners: about two blocks per runner (as
+/// `apots_par::rows_per_chunk`), each owning at least [`GATE_GRAIN`]
+/// pre-activations. `None` means the serial loop.
+fn gate_block_rows(b: usize, hsz: usize, threads: usize) -> Option<usize> {
+    let rows = b.div_ceil(2 * threads).max(GATE_GRAIN.div_ceil(4 * hsz));
+    (threads > 1 && rows < b).then_some(rows)
+}
+
+/// One timestep's gate loop over all `B` rows. With one thread, inside a
+/// nested parallel region, or for a batch too small to split, it is the
+/// serial loop (no allocation). Otherwise the rows are cut into blocks that
+/// each own disjoint rows of every output, and the pool runs the blocks.
+fn gate_step(z: &[f32], c_prev: &[f32], mut out: StepOut<'_>, hsz: usize, steps: usize, t: usize) {
+    let b = c_prev.len() / hsz;
+    let Some(rows) = gate_block_rows(b, hsz, apots_par::current_threads())
+        .filter(|_| !apots_par::in_parallel_region())
+    else {
+        gate_rows(z, c_prev, out, hsz, steps, t);
+        return;
+    };
+    let blocks: Vec<_> = (0..b)
+        .step_by(rows)
+        .map(|r0| (r0, out.split_rows(rows.min(b - r0), hsz, steps)))
+        .collect();
+    apots_par::parallel_items(blocks, |(r0, block)| {
+        let r1 = r0 + block.h.len() / hsz;
+        let (z, c_prev) = (&z[r0 * 4 * hsz..r1 * 4 * hsz], &c_prev[r0 * hsz..r1 * hsz]);
+        gate_rows(z, c_prev, block, hsz, steps, t);
+    });
+}
+
 /// An LSTM layer.
 pub struct Lstm {
     input_size: usize,
@@ -105,7 +212,7 @@ impl Lstm {
 }
 
 impl Layer for Lstm {
-    fn forward(&mut self, input: &Tensor, _train: bool) -> Tensor {
+    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
         assert_eq!(input.rank(), 3, "Lstm expects [batch, time, features]");
         let s = input.shape();
         let (b, steps, feat) = (s[0], s[1], s[2]);
@@ -152,61 +259,35 @@ impl Layer for Lstm {
             let mut c_new = Tensor::zeros(&[b, hsz]);
             let mut tanh_c = Tensor::zeros(&[b, hsz]);
             let mut h_new = Tensor::zeros(&[b, hsz]);
-            {
-                // Fused gate split + cell update: one pass over the [B, 4H]
-                // pre-activations computes every gate and the new cell /
-                // hidden state. Each output element depends only on its own
-                // inputs via the exact expressions of the unfused version
-                // (`f·c + i·g` is evaluated `(f·c) + (i·g)`, no FMA), so
-                // the results are bit-identical (DESIGN.md §9/§10).
-                let zd = z.data();
-                let cp = c.data();
-                let id = i_g.data_mut();
-                let fd = f_g.data_mut();
-                let gd = g_g.data_mut();
-                let od = o_g.data_mut();
-                let cd = c_new.data_mut();
-                let td = tanh_c.data_mut();
-                let hd = h_new.data_mut();
-                let mut seq_d = seq.as_mut().map(|s| s.data_mut());
-                for bi in 0..b {
-                    let zr = &zd[bi * 4 * hsz..(bi + 1) * 4 * hsz];
-                    for j in 0..hsz {
-                        let e = bi * hsz + j;
-                        let iv = sigmoid_scalar(zr[j]);
-                        let fv = sigmoid_scalar(zr[hsz + j]);
-                        let gv = zr[2 * hsz + j].tanh();
-                        let ov = sigmoid_scalar(zr[3 * hsz + j]);
-                        let cn = fv * cp[e] + iv * gv;
-                        let tc = cn.tanh();
-                        let hn = ov * tc;
-                        id[e] = iv;
-                        fd[e] = fv;
-                        gd[e] = gv;
-                        od[e] = ov;
-                        cd[e] = cn;
-                        td[e] = tc;
-                        hd[e] = hn;
-                        if let Some(sd) = seq_d.as_deref_mut() {
-                            sd[(bi * steps + t) * hsz + j] = hn;
-                        }
-                    }
-                }
-            }
+            let out = StepOut {
+                i: i_g.data_mut(),
+                f: f_g.data_mut(),
+                g: g_g.data_mut(),
+                o: o_g.data_mut(),
+                c: c_new.data_mut(),
+                tanh_c: tanh_c.data_mut(),
+                h: h_new.data_mut(),
+                seq: seq.as_mut().map(|s| s.data_mut()),
+            };
+            gate_step(z.data(), c.data(), out, hsz, steps, t);
 
-            self.cache.push(StepCache {
-                h_prev: h,
-                c_prev: c,
-                i: i_g,
-                f: f_g,
-                g: g_g,
-                o: o_g,
-                tanh_c,
-            });
+            // Eval-mode forwards keep nothing for BPTT: the step tensors
+            // go straight back to the arena.
+            if train {
+                self.cache.push(StepCache {
+                    h_prev: h,
+                    c_prev: c,
+                    i: i_g,
+                    f: f_g,
+                    g: g_g,
+                    o: o_g,
+                    tanh_c,
+                });
+            }
             h = h_new;
             c = c_new;
         }
-        self.x_seq = Some(input.clone());
+        self.x_seq = train.then(|| input.clone());
 
         match seq {
             Some(out) => out,
@@ -217,13 +298,13 @@ impl Layer for Lstm {
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
         assert!(
             !self.cache.is_empty(),
-            "Lstm::backward called before forward"
+            "Lstm::backward called before a train-mode forward"
         );
         let steps = self.cache.len();
         let x_seq = self
             .x_seq
             .take()
-            .expect("Lstm::backward called before forward");
+            .expect("Lstm::backward called before a train-mode forward");
         let b = x_seq.shape()[0];
         let hsz = self.hidden_size;
         let isz = self.input_size;
@@ -320,6 +401,8 @@ impl Layer for Lstm {
             }
             dz.matmul_a_bt_into(&self.wh, &mut dh_next); // [B, H]
         }
+        // Like `x_seq` above, the step caches serve exactly one backward.
+        self.cache.clear();
 
         dx_all
     }
@@ -497,6 +580,67 @@ mod tests {
         assert_eq!(lstm.hidden_size(), 11);
         assert_eq!(lstm.input_size(), 7);
         assert!(!lstm.returns_sequences());
+    }
+
+    /// The gate loop splits only when every block gets `GATE_GRAIN`
+    /// pre-activations: the trainer's Fast-H step (B=64, H=32) runs as four
+    /// 16-row blocks on two threads, small batches stay serial, and the last
+    /// block of a ragged split is short.
+    #[test]
+    fn gate_split_plan() {
+        assert_eq!(gate_block_rows(64, 32, 1), None);
+        assert_eq!(gate_block_rows(64, 32, 2), Some(16));
+        assert_eq!(gate_block_rows(64, 32, 4), Some(16));
+        assert_eq!(gate_block_rows(16, 32, 2), None);
+        assert_eq!(gate_block_rows(1, 256, 4), None);
+        assert_eq!(gate_block_rows(7, 256, 2), Some(2));
+        assert_eq!(gate_block_rows(7, 256, 4), Some(2));
+    }
+
+    /// The BPTT caches (`x_seq` plus seven tensors per step) exist only
+    /// between a train-mode forward and its backward.
+    #[test]
+    fn bptt_cache_released_after_backward_and_absent_in_eval() {
+        let mut rng = seeded(11);
+        let mut lstm = Lstm::new(3, 4, true, &mut rng);
+        let x = Tensor::randn(&[2, 5, 3], 0.0, 1.0, &mut rng);
+        let holds_cache = |l: &Lstm| !l.cache.is_empty() || l.x_seq.is_some();
+
+        // Train-mode forward caches; backward takes the cache with it.
+        let _ = lstm.forward(&x, true);
+        assert!(holds_cache(&lstm), "train forward should cache");
+        let _ = lstm.backward(&Tensor::ones(&[2, 5, 4]));
+        assert!(!holds_cache(&lstm), "backward must release the BPTT caches");
+
+        // Eval-mode forward never caches, and clears any stale cache.
+        let _ = lstm.forward(&x, true);
+        let _ = lstm.forward(&x, false);
+        assert!(
+            !holds_cache(&lstm),
+            "eval forward must not retain the BPTT caches"
+        );
+    }
+
+    /// Train/eval forwards compute identical outputs (caching is the only
+    /// difference), and eval-then-backward is rejected.
+    #[test]
+    fn eval_forward_matches_train_forward() {
+        for seq_mode in [false, true] {
+            let mut rng = seeded(12);
+            let mut lstm = Lstm::new(4, 6, seq_mode, &mut rng);
+            let x = Tensor::randn(&[3, 7, 4], 0.0, 1.0, &mut rng);
+            let y_train = lstm.forward(&x, true);
+            assert_eq!(y_train, lstm.forward(&x, false));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "before a train-mode forward")]
+    fn backward_after_eval_forward_panics() {
+        let mut rng = seeded(13);
+        let mut lstm = Lstm::new(2, 3, false, &mut rng);
+        let _ = lstm.forward(&Tensor::zeros(&[1, 4, 2]), false);
+        let _ = lstm.backward(&Tensor::ones(&[1, 3]));
     }
 
     #[test]

@@ -1,14 +1,23 @@
 //! Register-blocked matmul row kernels.
 //!
-//! Each function computes a contiguous *row block* of the output matrix so
-//! the public entry points in `tensor.rs` can partition work across the
-//! `apots-par` pool by output rows. The blocking (4-row panels × 4-step
-//! `kk` unrolling) exists purely for instruction-level parallelism and
-//! load amortisation — **every output element still accumulates its
-//! products in ascending `kk` order as one sequential f32 chain**, exactly
-//! like the loops in [`crate::reference`]. Rust never contracts `a*b + c`
-//! into an FMA or re-associates float adds on its own, so the results are
-//! bit-identical to the reference for all inputs, on any thread count.
+//! Two kernels remain, and both compute a contiguous *row block* of the
+//! output so the public entry points in `tensor.rs` can partition work
+//! across the `apots-par` pool by output rows:
+//!
+//! * [`matmul_block`] — `a · b` for a row slice of `a`. It also serves
+//!   `a · bᵀ`: `Tensor::matmul_a_bt` transposes `b` into an arena buffer
+//!   first, which turns each dot product `a[i]·b[j]` into the same
+//!   ascending-`kk` chain over a row of `bᵀ` that this kernel vectorizes
+//!   across output columns.
+//! * [`matmul_at_b_block`] — `aᵀ · b`, reading `a` down its columns.
+//!
+//! The blocking (4-row panels × 16/8/4-wide column tiles) exists purely
+//! for instruction-level parallelism and load amortisation — **every
+//! output element still accumulates its products in ascending `kk` order
+//! as one sequential f32 chain**, exactly like the loops in
+//! [`crate::reference`]. Rust never contracts `a*b + c` into an FMA or
+//! re-associates float adds on its own, so the results are bit-identical
+//! to the reference for all inputs, on any thread count.
 //!
 //! Do not "optimise" these kernels with multiple partial accumulators per
 //! element or `kk`-range splitting: that changes rounding and breaks the
@@ -220,122 +229,6 @@ pub(crate) fn matmul_at_b_block(
     while i < rows {
         let gi = i0 + i;
         row1(b, k, n, &|kk| a[kk * m + gi], &mut out_rows[i * n..][..n]);
-        i += 1;
-    }
-}
-
-/// Columns-per-panel for the `a · bᵀ` kernel.
-const NR: usize = 4;
-
-/// Computes `out_rows = a_rows · bᵀ` where `a_rows: [rows, k]` is this
-/// block's LHS slice, `b: [n, k]` is the full RHS and `out_rows: [rows, n]`
-/// is this block's output slice. Each element is one dot product evaluated
-/// as a single sequential chain over ascending `kk`; the 4×4 panel runs 16
-/// such independent chains concurrently for ILP.
-pub(crate) fn matmul_a_bt_block(
-    a_rows: &[f32],
-    b: &[f32],
-    out_rows: &mut [f32],
-    k: usize,
-    n: usize,
-) {
-    if n == 0 {
-        return;
-    }
-    let rows = out_rows.len() / n;
-    debug_assert_eq!(out_rows.len(), rows * n);
-    debug_assert_eq!(a_rows.len(), rows * k);
-    debug_assert_eq!(b.len(), n * k);
-
-    let mut i = 0;
-    while i + MR <= rows {
-        let a0 = &a_rows[i * k..][..k];
-        let a1 = &a_rows[(i + 1) * k..][..k];
-        let a2 = &a_rows[(i + 2) * k..][..k];
-        let a3 = &a_rows[(i + 3) * k..][..k];
-        let mut panel = out_rows[i * n..(i + MR) * n].chunks_exact_mut(n);
-        let o0 = panel.next().unwrap();
-        let o1 = panel.next().unwrap();
-        let o2 = panel.next().unwrap();
-        let o3 = panel.next().unwrap();
-
-        let mut j = 0;
-        while j + NR <= n {
-            let b0 = &b[j * k..][..k];
-            let b1 = &b[(j + 1) * k..][..k];
-            let b2 = &b[(j + 2) * k..][..k];
-            let b3 = &b[(j + 3) * k..][..k];
-            let (mut c00, mut c01, mut c02, mut c03) = (0.0f32, 0.0f32, 0.0f32, 0.0f32);
-            let (mut c10, mut c11, mut c12, mut c13) = (0.0f32, 0.0f32, 0.0f32, 0.0f32);
-            let (mut c20, mut c21, mut c22, mut c23) = (0.0f32, 0.0f32, 0.0f32, 0.0f32);
-            let (mut c30, mut c31, mut c32, mut c33) = (0.0f32, 0.0f32, 0.0f32, 0.0f32);
-            for kk in 0..k {
-                let (av0, av1, av2, av3) = (a0[kk], a1[kk], a2[kk], a3[kk]);
-                let (bv0, bv1, bv2, bv3) = (b0[kk], b1[kk], b2[kk], b3[kk]);
-                c00 += av0 * bv0;
-                c01 += av0 * bv1;
-                c02 += av0 * bv2;
-                c03 += av0 * bv3;
-                c10 += av1 * bv0;
-                c11 += av1 * bv1;
-                c12 += av1 * bv2;
-                c13 += av1 * bv3;
-                c20 += av2 * bv0;
-                c21 += av2 * bv1;
-                c22 += av2 * bv2;
-                c23 += av2 * bv3;
-                c30 += av3 * bv0;
-                c31 += av3 * bv1;
-                c32 += av3 * bv2;
-                c33 += av3 * bv3;
-            }
-            o0[j] = c00;
-            o0[j + 1] = c01;
-            o0[j + 2] = c02;
-            o0[j + 3] = c03;
-            o1[j] = c10;
-            o1[j + 1] = c11;
-            o1[j + 2] = c12;
-            o1[j + 3] = c13;
-            o2[j] = c20;
-            o2[j + 1] = c21;
-            o2[j + 2] = c22;
-            o2[j + 3] = c23;
-            o3[j] = c30;
-            o3[j + 1] = c31;
-            o3[j + 2] = c32;
-            o3[j + 3] = c33;
-            j += NR;
-        }
-        while j < n {
-            let bb = &b[j * k..][..k];
-            let (mut c0, mut c1, mut c2, mut c3) = (0.0f32, 0.0f32, 0.0f32, 0.0f32);
-            for kk in 0..k {
-                let bv = bb[kk];
-                c0 += a0[kk] * bv;
-                c1 += a1[kk] * bv;
-                c2 += a2[kk] * bv;
-                c3 += a3[kk] * bv;
-            }
-            o0[j] = c0;
-            o1[j] = c1;
-            o2[j] = c2;
-            o3[j] = c3;
-            j += 1;
-        }
-        i += MR;
-    }
-    while i < rows {
-        let a_row = &a_rows[i * k..][..k];
-        let o_row = &mut out_rows[i * n..][..n];
-        for (j, o) in o_row.iter_mut().enumerate() {
-            let bb = &b[j * k..][..k];
-            let mut acc = 0.0f32;
-            for kk in 0..k {
-                acc += a_row[kk] * bb[kk];
-            }
-            *o = acc;
-        }
         i += 1;
     }
 }

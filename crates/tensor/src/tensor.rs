@@ -24,6 +24,18 @@ pub(crate) fn matmul_chunk_rows(m: usize, k: usize, n: usize) -> usize {
     }
 }
 
+/// `out = a · b` for row-major `a: [out.len() / n, k]` and `b: [k, n]`,
+/// row-partitioned over the pool (`out` zeroed, `n > 0`). The shared body
+/// of every matmul entry point except `aᵀ · b`.
+fn matmul_rows(a: &[f32], b: &[f32], out: &mut [f32], k: usize, n: usize) {
+    let chunk_rows = matmul_chunk_rows(out.len() / n, k, n);
+    apots_par::parallel_chunks_mut(out, chunk_rows * n, |ci, out_chunk| {
+        let i0 = ci * chunk_rows;
+        let rows = out_chunk.len() / n;
+        crate::kernels::matmul_block(&a[i0 * k..(i0 + rows) * k], b, out_chunk, k, n);
+    });
+}
+
 /// Maximum tensor rank. The workspace uses at most rank-4
 /// (`[batch, channels, height, width]` conv feature maps).
 pub const MAX_RANK: usize = 4;
@@ -738,14 +750,7 @@ impl Tensor {
             return;
         }
         apots_obs::metrics::KERNEL_MATMUL_FLAT.bump();
-        let chunk_rows = matmul_chunk_rows(rows, k, n);
-        let a = &self.data;
-        let b = &other.data;
-        apots_par::parallel_chunks_mut(&mut out.data, chunk_rows * n, |ci, out_chunk| {
-            let i0 = ci * chunk_rows;
-            let r = out_chunk.len() / n;
-            crate::kernels::matmul_block(&a[i0 * k..(i0 + r) * k], b, out_chunk, k, n);
-        });
+        matmul_rows(&self.data, &other.data, &mut out.data, k, n);
     }
 
     #[inline]
@@ -760,20 +765,13 @@ impl Tensor {
 
     /// Shared body of `matmul`/`matmul_into`: requires `out` zeroed.
     fn matmul_dispatch(&self, other: &Self, out: &mut [f32]) {
-        let (m, k) = (self.shape[0], self.shape[1]);
+        let k = self.shape[1];
         let n = other.shape[1];
         if n == 0 {
             return;
         }
         apots_obs::metrics::KERNEL_MATMUL.bump();
-        let chunk_rows = matmul_chunk_rows(m, k, n);
-        let a = &self.data;
-        let b = &other.data;
-        apots_par::parallel_chunks_mut(out, chunk_rows * n, |ci, out_chunk| {
-            let i0 = ci * chunk_rows;
-            let rows = out_chunk.len() / n;
-            crate::kernels::matmul_block(&a[i0 * k..(i0 + rows) * k], b, out_chunk, k, n);
-        });
+        matmul_rows(&self.data, &other.data, out, k, n);
     }
 
     /// `selfᵀ · other` without materialising the transpose.
@@ -834,12 +832,14 @@ impl Tensor {
         });
     }
 
-    /// `self · otherᵀ` without materialising the transpose.
+    /// `self · otherᵀ`.
     ///
     /// For `self: [m, k]` and `other: [n, k]` returns `[m, n]`. This is the
-    /// kernel behind input gradients (`dy · wᵀ`). Row-partitioned over the
-    /// output; bit-identical to [`crate::reference::matmul_a_bt`] for any
-    /// thread count (one sequential dot-product chain per element).
+    /// kernel behind input gradients (`dy · wᵀ`). It runs the `a · b` tile
+    /// kernel over a transposed copy of `other` taken from the workspace
+    /// arena, row-partitioned over the output; bit-identical to
+    /// [`crate::reference::matmul_a_bt`] for any thread count (one
+    /// sequential ascending-`kk` dot-product chain per element).
     pub fn matmul_a_bt(&self, other: &Self) -> Self {
         let (m, n) = self.matmul_a_bt_dims(other);
         let mut out = Self {
@@ -876,20 +876,18 @@ impl Tensor {
 
     /// Shared body of `matmul_a_bt`/`matmul_a_bt_into`: requires `out` zeroed.
     fn matmul_a_bt_dispatch(&self, other: &Self, out: &mut [f32]) {
-        let (m, k) = (self.shape[0], self.shape[1]);
+        let k = self.shape[1];
         let n = other.shape[0];
         if n == 0 {
             return;
         }
         apots_obs::metrics::KERNEL_MATMUL_A_BT.bump();
-        let chunk_rows = matmul_chunk_rows(m, k, n);
-        let a = &self.data;
-        let b = &other.data;
-        apots_par::parallel_chunks_mut(out, chunk_rows * n, |ci, out_chunk| {
-            let i0 = ci * chunk_rows;
-            let rows = out_chunk.len() / n;
-            crate::kernels::matmul_a_bt_block(&a[i0 * k..(i0 + rows) * k], b, out_chunk, k, n);
-        });
+        // `a · bᵀ` is `a · (bᵀ)`: with `bᵀ` in an arena buffer, element
+        // `[i][j]` is `0 + a[i][0]·b[j][0] + … + a[i][k-1]·b[j][k-1]` in
+        // ascending `kk`, the same chain as a dot product of two rows, but
+        // the a·b tile kernel runs it across 16 output columns at once.
+        let bt = other.transpose2();
+        matmul_rows(&self.data, &bt.data, out, k, n);
     }
 
     /// Adds a rank-1 bias to every row of a rank-2 tensor, in place.
@@ -1165,7 +1163,7 @@ mod tests {
 
     /// The blocked, pool-partitioned kernels must be bit-identical to the
     /// naive specification loops in `crate::reference` — odd shapes stress
-    /// every panel/remainder combination of the 4×4 blocking.
+    /// every 4-row panel / 16-8-4 column tile / remainder combination.
     #[test]
     fn blocked_matmuls_bit_match_reference() {
         let mut rng = crate::SeededRng::seed_from_u64(1234);
