@@ -57,16 +57,41 @@ impl BenchResult {
 }
 
 /// Host facts written next to every figure in a `BENCH_*.json`: logical
-/// CPUs and the pool's default thread count (`APOTS_THREADS`, else the
-/// CPUs). A bench named `threadsN` pins `N` itself, so a `threads4` figure
-/// from a host with `nproc: 2` reads as oversubscribed.
+/// CPUs, the pool's default thread count (`APOTS_THREADS`, else the
+/// CPUs) and the measured commit (`null` outside a git work tree). A bench
+/// named `threadsN` pins `N` itself, so a `threads4` figure from a host
+/// with `nproc: 2` reads as oversubscribed.
 #[must_use]
 pub fn host_json() -> apots_serde::Json {
     let nproc = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
     apots_serde::json!({
         "nproc": nproc,
-        "pool_threads": apots_par::current_threads()
+        "pool_threads": apots_par::current_threads(),
+        "commit": git_commit().map_or(apots_serde::Json::Null, apots_serde::Json::from)
     })
+}
+
+/// The checked-out commit of the git work tree holding the current
+/// directory, read from its `.git` directory (no `git` process); `None`
+/// outside a work tree, e.g. in an exported source tree.
+fn git_commit() -> Option<String> {
+    let cwd = std::env::current_dir().ok()?;
+    let git = cwd
+        .ancestors()
+        .map(|d| d.join(".git"))
+        .find(|g| g.exists())?;
+    let head = std::fs::read_to_string(git.join("HEAD")).ok()?;
+    let head = head.trim();
+    let Some(r) = head.strip_prefix("ref: ") else {
+        return Some(head.to_string());
+    };
+    if let Ok(id) = std::fs::read_to_string(git.join(r)) {
+        return Some(id.trim().to_string());
+    }
+    let packed = std::fs::read_to_string(git.join("packed-refs")).ok()?;
+    packed
+        .lines()
+        .find_map(|l| Some(l.strip_suffix(r)?.strip_suffix(' ')?.to_string()))
 }
 
 /// How the harness was invoked (criterion-compatible flag handling).
@@ -403,6 +428,15 @@ mod tests {
         let nproc = host.get("nproc").and_then(|v| v.as_f64()).unwrap();
         let threads = host.get("pool_threads").and_then(|v| v.as_f64()).unwrap();
         assert!(nproc >= 1.0 && threads >= 1.0, "{host:?}");
+        // A hex object id inside a work tree, null in an exported tree.
+        match host.get("commit") {
+            Some(apots_serde::Json::Null) => {}
+            Some(apots_serde::Json::Str(id)) => assert!(
+                id.len() >= 40 && id.bytes().all(|b| b.is_ascii_hexdigit()),
+                "{id:?}"
+            ),
+            other => panic!("commit must be a string or null, got {other:?}"),
+        }
     }
 
     #[test]

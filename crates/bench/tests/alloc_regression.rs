@@ -4,7 +4,8 @@
 //! forward → loss → backward segment the trainer brackets with
 //! `apots::hotpath::guard()`) performs **zero heap allocations** on the
 //! serial path, for all four predictor kinds and for the adversarial
-//! loop.
+//! loop. The same counted scope pins that fingerprinting a served
+//! checkpoint allocates nothing (DESIGN.md §14).
 //!
 //! Mechanics: this test binary installs [`apots_bench::alloc_count`]'s
 //! counting global allocator and its hot-path probe, trains each
@@ -28,11 +29,13 @@
 
 use std::cell::RefCell;
 
+use apots::checkpoint::Checkpoint;
 use apots::config::{HyperPreset, PredictorKind, TrainConfig};
 use apots::predictor::build_predictor;
 use apots::runtime::{BatchCtx, TrainOptions};
 use apots::trainer::train_with_options;
 use apots_bench::alloc_count;
+use apots_serve::ModelSnapshot;
 use apots_traffic::calendar::Calendar;
 use apots_traffic::{Corridor, DataConfig, FeatureMask, SimConfig, TrafficDataset};
 
@@ -219,6 +222,39 @@ fn quiescent_fault_shim_keeps_the_hot_path_silent_and_numerics_identical() {
     assert_eq!(
         armed, baseline,
         "a quiescent fault shim must not perturb training numerics"
+    );
+}
+
+/// Serving boot (DESIGN.md §14): fingerprinting a checkpoint is one pass
+/// over its parameter bits, with no text render and no JSON tree. The
+/// Paper-preset H checkpoint (3.8M parameters) would render to ~80 MB of
+/// JSON, so any render inside the counted scope shows up at once.
+#[test]
+fn fingerprinting_a_paper_checkpoint_allocates_nothing() {
+    let _g = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    ensure_probe();
+
+    let data = dataset();
+    let mut p = build_predictor(PredictorKind::Hybrid, HyperPreset::Paper, &data, 1);
+    let ck = Checkpoint::capture(p.as_mut());
+    assert!(
+        ck.state.scalar_count() > 3_000_000,
+        "not the Paper-preset H"
+    );
+
+    alloc_count::reset();
+    alloc_count::arm();
+    let snap = {
+        let _scope = apots::hotpath::guard();
+        ModelSnapshot::new(ck, 1)
+    };
+    alloc_count::disarm();
+    let (allocs, bytes) = alloc_count::counters();
+    assert!(snap.is_ok(), "a finite checkpoint must fingerprint");
+    assert_eq!(
+        (allocs, bytes),
+        (0, 0),
+        "fingerprinting must not allocate ({allocs} allocations, {bytes} bytes)"
     );
 }
 

@@ -279,23 +279,27 @@ mod tests {
         assert!(err.contains("out of range"), "{err}");
     }
 
-    /// Bench reports carry a `host` object next to their entries; the
-    /// gate reads the entries and ignores it.
+    /// Bench reports carry a `host` object next to their entries, with
+    /// the commit as a string or, outside a work tree, `null`; the gate
+    /// reads the entries and ignores it.
     #[test]
     fn reads_fresh_values_next_to_host_facts() {
         let dir = std::env::temp_dir().join(format!("apots-gate-host-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        std::fs::write(
-            dir.join("BENCH_x.json"),
-            r#"{"target": "x", "mode": "smoke",
-                "host": {"nproc": 2, "pool_threads": 2},
-                "results": [{"name": "a", "median_ns": 110.0}]}"#,
-        )
-        .unwrap();
         let (_, metrics) = parse_baselines(BASE, "t").unwrap();
-        let fresh = fresh_value(&dir, &metrics[0]);
+        for commit in [r#""0123456789abcdef0123456789abcdef01234567""#, "null"] {
+            std::fs::write(
+                dir.join("BENCH_x.json"),
+                format!(
+                    r#"{{"target": "x", "mode": "smoke",
+                        "host": {{"nproc": 2, "pool_threads": 2, "commit": {commit}}},
+                        "results": [{{"name": "a", "median_ns": 110.0}}]}}"#
+                ),
+            )
+            .unwrap();
+            assert_eq!(fresh_value(&dir, &metrics[0]), Ok(110.0), "commit {commit}");
+        }
         let _ = std::fs::remove_dir_all(&dir);
-        assert_eq!(fresh, Ok(110.0));
     }
 
     #[test]

@@ -39,8 +39,9 @@ pub enum HyperPreset {
     /// C 128/32/64 filters (3×3, 1×1, 3×3); H = C's conv stack + L.
     Paper,
     /// Same architectures with reduced widths, sized so the full Table III
-    /// grid trains on a single CPU core. EXPERIMENTS.md records which
-    /// preset produced each number.
+    /// grid trains on a small CPU host (the reference host has 2 logical
+    /// CPUs, DESIGN.md §6). EXPERIMENTS.md records which preset produced
+    /// each number.
     Fast,
 }
 

@@ -135,7 +135,9 @@ fn tensor_to_json(t: &Tensor) -> Json {
     Json::Obj(m)
 }
 
-/// Parses one tensor, validating shape/data consistency and finiteness.
+/// Parses one tensor, validating shape/data consistency and finiteness:
+/// a number outside the `f32` range (e.g. `1e39`) would narrow to ±inf,
+/// so it is refused by index.
 fn tensor_from_json(value: &Json) -> Result<Tensor, String> {
     let shape = value
         .get("shape")
@@ -149,7 +151,16 @@ fn tensor_from_json(value: &Json) -> Result<Tensor, String> {
         .and_then(Json::as_array)
         .ok_or("missing \"data\"")?
         .iter()
-        .map(|v| v.as_f32().ok_or("non-numeric element"))
+        .enumerate()
+        .map(|(j, v)| {
+            let x = v.as_f64().ok_or("non-numeric element")?;
+            let x32 = x as f32;
+            if x32.is_finite() {
+                Ok(x32)
+            } else {
+                Err(format!("element {j} ({x:e}) is not finite as f32"))
+            }
+        })
         .collect::<Result<Vec<_>, _>>()?;
     let expected: usize = shape.iter().product();
     if data.len() != expected {
@@ -251,6 +262,28 @@ mod tests {
             let v = Json::parse(bad).unwrap();
             assert!(StateDict::from_json(&v).is_err(), "accepted {bad}");
         }
+    }
+
+    #[test]
+    fn from_json_rejects_numbers_that_overflow_f32() {
+        for big in ["1e39", "-3.5e38"] {
+            let doc = format!(
+                r#"{{"tensors": [{{"shape": [1], "data": [0.5]}},
+                                {{"shape": [3], "data": [1.0, 2.0, {big}]}}]}}"#
+            );
+            let err = StateDict::from_json(&Json::parse(&doc).unwrap()).unwrap_err();
+            assert_eq!(
+                err,
+                format!("tensor 1: element 2 ({big}) is not finite as f32")
+            );
+        }
+        // The largest finite f32 still loads.
+        let doc = format!(
+            r#"{{"tensors": [{{"shape": [1], "data": [{}]}}]}}"#,
+            f32::MAX
+        );
+        let sd = StateDict::from_json(&Json::parse(&doc).unwrap()).unwrap();
+        assert_eq!(sd.tensors()[0].data(), &[f32::MAX]);
     }
 
     #[test]

@@ -3,7 +3,8 @@
 //! Three layers, each usable on its own:
 //!
 //! * [`fnv1a_64`] — the FNV-1a content checksum used across the
-//!   workspace's durability envelope;
+//!   workspace's durability envelope, and [`Fnv1a`], its streaming
+//!   form;
 //! * [`write_atomic`] — crash-safe file replacement: write to a
 //!   temporary file in the same directory, `fsync` the file, `rename`
 //!   over the destination, then `fsync` the directory so the rename
@@ -33,12 +34,42 @@ pub const ENVELOPE_VERSION: u64 = 1;
 
 /// FNV-1a 64-bit hash — the workspace's content checksum.
 pub fn fnv1a_64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    let mut h = Fnv1a::new();
+    h.write(bytes);
+    h.finish()
+}
+
+/// Streaming [`fnv1a_64`]: feeding a byte sequence in any number of
+/// pieces yields the hash of the whole sequence, so content can be
+/// hashed where it lives instead of being rendered into one buffer.
+#[derive(Debug, Clone, Copy)]
+pub struct Fnv1a(u64);
+
+impl Fnv1a {
+    /// The empty-input state (the FNV-1a 64 offset basis).
+    pub const fn new() -> Self {
+        Fnv1a(0xcbf2_9ce4_8422_2325)
     }
-    h
+
+    /// Appends `bytes` to the hashed sequence.
+    #[inline]
+    pub fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    /// The hash of everything written so far.
+    pub const fn finish(self) -> u64 {
+        self.0
+    }
+}
+
+impl Default for Fnv1a {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 /// Atomically and durably replaces `path` with `contents`.
@@ -171,6 +202,13 @@ mod tests {
         assert_eq!(fnv1a_64(b""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(fnv1a_64(b"a"), 0xaf63_dc4c_8601_ec8c);
         assert_eq!(fnv1a_64(b"foobar"), 0x85944171f73967e8);
+        // The streaming form gives the same hash however input is split.
+        for cut in 0..=6 {
+            let mut h = Fnv1a::default();
+            h.write(&b"foobar"[..cut]);
+            h.write(&b"foobar"[cut..]);
+            assert_eq!(h.finish(), 0x85944171f73967e8, "split at {cut}");
+        }
     }
 
     #[test]

@@ -11,6 +11,11 @@ use std::fmt::Write as _;
 use std::io::{self, Read};
 use std::net::TcpStream;
 
+/// [`Request::parse`]'s error for a well-formed request line whose method
+/// is not `GET`; the server answers it with 405, every other parse error
+/// with 400.
+pub const METHOD_NOT_ALLOWED: &str = "only GET is supported";
+
 /// A parsed request line: `GET <path>?<query> HTTP/1.1`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Request<'a> {
@@ -22,18 +27,20 @@ pub struct Request<'a> {
 
 impl<'a> Request<'a> {
     /// Parses the request line of `head` (everything up to the blank
-    /// line). Only `GET` is served; anything else is a protocol error.
+    /// line). Only `GET` is served: any other method on an HTTP/1.x
+    /// request line is [`METHOD_NOT_ALLOWED`], anything else a protocol
+    /// error.
     pub fn parse(head: &'a str) -> Result<Self, &'static str> {
         let line = head.lines().next().ok_or("empty request")?;
         let mut parts = line.split(' ');
         let method = parts.next().ok_or("missing method")?;
-        if method != "GET" {
-            return Err("only GET is supported");
-        }
         let target = parts.next().ok_or("missing request target")?;
         match parts.next() {
             Some(v) if v.starts_with("HTTP/1.") => {}
             _ => return Err("not an HTTP/1.x request"),
+        }
+        if method != "GET" {
+            return Err(METHOD_NOT_ALLOWED);
         }
         let (path, query) = match target.split_once('?') {
             Some((p, q)) => (p, q),
@@ -126,19 +133,20 @@ impl ResponseBuf {
         &mut self.body
     }
 
-    /// Formats the full response for `status` around the staged body.
+    /// Formats the full response for `status` around the staged body. A
+    /// 405 names the one method served in an `Allow` header.
     pub fn finish(&mut self, status: u16) -> &str {
-        let reason = match status {
-            200 => "OK",
-            400 => "Bad Request",
-            404 => "Not Found",
-            405 => "Method Not Allowed",
-            _ => "Internal Server Error",
+        let (reason, allow) = match status {
+            200 => ("OK", ""),
+            400 => ("Bad Request", ""),
+            404 => ("Not Found", ""),
+            405 => ("Method Not Allowed", "Allow: GET\r\n"),
+            _ => ("Internal Server Error", ""),
         };
         self.head.clear();
         let _ = write!(
             self.head,
-            "HTTP/1.1 {status} {reason}\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: keep-alive\r\n\r\n",
+            "HTTP/1.1 {status} {reason}\r\n{allow}Content-Type: application/json\r\nContent-Length: {}\r\nConnection: keep-alive\r\n\r\n",
             self.body.len()
         );
         self.head.push_str(&self.body);
@@ -169,10 +177,30 @@ mod tests {
 
     #[test]
     fn rejects_non_get_and_garbage() {
-        assert!(Request::parse("POST /predict HTTP/1.1\r\n\r\n").is_err());
-        assert!(Request::parse("GET /x SPEAK/9").is_err());
-        assert!(Request::parse("").is_err());
-        assert!(Request::parse("GET relative HTTP/1.1").is_err());
+        for other in ["POST", "PUT", "DELETE", "HEAD", "get"] {
+            let head = format!("{other} /predict?road=1&t=40 HTTP/1.1\r\n\r\n");
+            assert_eq!(Request::parse(&head), Err(METHOD_NOT_ALLOWED), "{other}");
+        }
+        // Not a request line at all: a protocol error, whatever the
+        // first word.
+        for garbage in [
+            "GET /x SPEAK/9",
+            "",
+            "GET relative HTTP/1.1",
+            "POST",
+            "hello world",
+        ] {
+            let err = Request::parse(garbage).unwrap_err();
+            assert_ne!(err, METHOD_NOT_ALLOWED, "{garbage:?}");
+        }
+        let mut buf = ResponseBuf::default();
+        buf.body_mut().push_str("{}");
+        let text = buf.finish(405);
+        assert!(
+            text.starts_with("HTTP/1.1 405 Method Not Allowed\r\nAllow: GET\r\n"),
+            "{text}"
+        );
+        assert!(!buf.finish(400).contains("Allow:"));
     }
 
     #[test]

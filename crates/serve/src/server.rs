@@ -38,7 +38,7 @@ use apots_obs::metrics::{
 };
 use apots_traffic::{FeatureMask, SampleFeatures, TrafficDataset};
 
-use crate::http::{read_head, Request, ResponseBuf};
+use crate::http::{read_head, Request, ResponseBuf, METHOD_NOT_ALLOWED};
 use crate::snapshot::{checkpoint_from_payload, ModelSnapshot, QuantizedSnapshot, SnapshotCell};
 
 /// Tuning knobs for one server instance.
@@ -204,8 +204,9 @@ impl Server {
     /// When `store` is given, the watcher hot-follows it.
     ///
     /// # Errors
-    /// Returns an error if the checkpoint does not restore against
-    /// `data` under the configured preset, or the listener cannot bind.
+    /// Returns an error if the checkpoint holds a NaN or ±inf, does not
+    /// restore against `data` under the configured preset, or the
+    /// listener cannot bind.
     pub fn start(
         cfg: ServeConfig,
         data: Arc<TrafficDataset>,
@@ -219,7 +220,8 @@ impl Server {
         // the one generation with no previous snapshot to fall back to.
         // The trial restore goes through QuantizedSnapshot so an int8
         // deployment also exercises quantization before binding a port.
-        let boot = QuantizedSnapshot::new(ModelSnapshot::new(initial, 1), cfg.quant);
+        let snap = ModelSnapshot::new(initial, 1).map_err(|e| format!("boot checkpoint: {e}"))?;
+        let boot = QuantizedSnapshot::new(snap, cfg.quant);
         boot.replica(cfg.preset, &data)
             .map_err(|e| format!("boot checkpoint: {e}"))?;
         let listener =
@@ -416,7 +418,7 @@ fn respond(s: &Shared, head: &[u8], reply: &Arc<ReplySlot>, resp: &mut ResponseB
         Err(e) => {
             let body = resp.body_mut();
             let _ = write!(body, "{{\"error\":{:?}}}", e);
-            return 400;
+            return if e == METHOD_NOT_ALLOWED { 405 } else { 400 };
         }
     };
     match req.path {
@@ -612,7 +614,10 @@ fn try_reload(s: &Shared, store: &CheckpointStore) -> Result<bool, String> {
         Err(e) => return reject(e),
     };
     let current = s.cell.load();
-    let snap = QuantizedSnapshot::new(ModelSnapshot::new(ck, current.version() + 1), s.cfg.quant);
+    let snap = match ModelSnapshot::new(ck, current.version() + 1) {
+        Ok(snap) => QuantizedSnapshot::new(snap, s.cfg.quant),
+        Err(e) => return reject(e),
+    };
     if snap.fingerprint() == current.fingerprint() {
         return Ok(false);
     }

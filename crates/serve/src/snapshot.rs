@@ -14,7 +14,7 @@ use apots::config::HyperPreset;
 use apots::predictor::Predictor;
 use apots::InferenceMode;
 use apots_nn::state::StateDict;
-use apots_serde::atomic::fnv1a_64;
+use apots_serde::atomic::Fnv1a;
 use apots_serde::Json;
 use apots_traffic::TrafficDataset;
 
@@ -25,21 +25,32 @@ pub struct ModelSnapshot {
     /// Monotonic generation counter (1 = the snapshot the server booted
     /// with).
     pub version: u64,
-    /// FNV-1a of the checkpoint's canonical JSON — identical checkpoints
-    /// have identical fingerprints, which lets the watcher skip no-op
-    /// swaps.
+    /// FNV-1a over the checkpoint's kind, shapes and parameter bits (see
+    /// [`ModelSnapshot::new`]) — two checkpoints share a fingerprint
+    /// exactly when their canonical JSON texts are equal, which lets the
+    /// watcher skip no-op swaps.
     pub fingerprint: u64,
 }
 
 impl ModelSnapshot {
-    /// Builds generation `version` from a validated checkpoint.
-    pub fn new(checkpoint: Checkpoint, version: u64) -> Self {
-        let fingerprint = fnv1a_64(checkpoint.to_json().as_bytes());
-        ModelSnapshot {
+    /// Builds generation `version` from a checkpoint, fingerprinting it in
+    /// one pass over its contents: the kind label, the tensor count, then
+    /// each tensor's shape and the `f32` bits of its values, with `-0.0`
+    /// hashed as `+0.0` (the one pair of values the JSON text writes
+    /// alike). Integers are hashed as little-endian `u64`s and the label
+    /// is length-prefixed, so the byte stream is unambiguous. A finite
+    /// checkpoint is fingerprinted without allocating.
+    ///
+    /// # Errors
+    /// Returns an error naming the tensor and index of the first NaN or
+    /// ±inf: such a checkpoint cannot serve and cannot be saved.
+    pub fn new(checkpoint: Checkpoint, version: u64) -> Result<Self, String> {
+        let fingerprint = fingerprint(&checkpoint)?;
+        Ok(ModelSnapshot {
             checkpoint,
             version,
             fingerprint,
-        }
+        })
     }
 
     /// Rebuilds a predictor replica from this snapshot (each shard owns
@@ -55,6 +66,33 @@ impl ModelSnapshot {
     ) -> Result<Box<dyn Predictor>, String> {
         self.checkpoint.restore(preset, data)
     }
+}
+
+/// The streaming hash behind [`ModelSnapshot::new`].
+fn fingerprint(checkpoint: &Checkpoint) -> Result<u64, String> {
+    fn write_len(h: &mut Fnv1a, n: usize) {
+        h.write(&(n as u64).to_le_bytes());
+    }
+    let mut h = Fnv1a::new();
+    write_len(&mut h, checkpoint.kind.len());
+    h.write(checkpoint.kind.as_bytes());
+    let tensors = checkpoint.state.tensors();
+    write_len(&mut h, tensors.len());
+    for (i, t) in tensors.iter().enumerate() {
+        write_len(&mut h, t.shape().len());
+        for &d in t.shape() {
+            write_len(&mut h, d);
+        }
+        for (j, &v) in t.data().iter().enumerate() {
+            if !v.is_finite() {
+                return Err(format!("tensor {i}: element {j} is {v}, not finite"));
+            }
+            // `-0.0 == 0.0`: both hash as `+0.0`.
+            let v = if v == 0.0 { 0.0f32 } else { v };
+            h.write(&v.to_bits().to_le_bytes());
+        }
+    }
+    Ok(h.finish())
 }
 
 /// A [`ModelSnapshot`] paired with the serving [`InferenceMode`] —
@@ -162,6 +200,7 @@ mod tests {
     use super::*;
     use apots::config::PredictorKind;
     use apots::predictor::build_predictor;
+    use apots_tensor::Tensor;
     use apots_traffic::calendar::Calendar;
     use apots_traffic::{Corridor, DataConfig, SimConfig};
 
@@ -173,18 +212,66 @@ mod tests {
         )
     }
 
+    /// `ck` with its tensor list edited.
+    fn edited(ck: &Checkpoint, edit: impl FnOnce(&mut Vec<Tensor>)) -> Checkpoint {
+        let mut tensors = ck.state.clone().into_tensors();
+        edit(&mut tensors);
+        Checkpoint {
+            kind: ck.kind.clone(),
+            state: StateDict::from_tensors(tensors),
+        }
+    }
+
     #[test]
     fn identical_checkpoints_share_a_fingerprint() {
         let data = dataset();
         let mut p = build_predictor(PredictorKind::Fc, HyperPreset::Fast, &data, 11);
         let ck = Checkpoint::capture(p.as_mut());
-        let a = ModelSnapshot::new(ck, 1);
+        let a = fingerprint(&ck).unwrap();
         let mut p2 = build_predictor(PredictorKind::Fc, HyperPreset::Fast, &data, 11);
-        let b = ModelSnapshot::new(Checkpoint::capture(p2.as_mut()), 2);
-        assert_eq!(a.fingerprint, b.fingerprint, "same params, same print");
+        let b = fingerprint(&Checkpoint::capture(p2.as_mut())).unwrap();
+        assert_eq!(a, b, "same params, same print");
         let mut other = build_predictor(PredictorKind::Fc, HyperPreset::Fast, &data, 12);
-        let c = ModelSnapshot::new(Checkpoint::capture(other.as_mut()), 3);
-        assert_ne!(a.fingerprint, c.fingerprint, "different params differ");
+        let c = fingerprint(&Checkpoint::capture(other.as_mut())).unwrap();
+        assert_ne!(a, c, "different params differ");
+
+        // Equal canonical JSON texts, equal prints: a save/load round
+        // trip, and -0.0 against +0.0 (both written `0`).
+        let back = Checkpoint::from_json(&ck.to_json()).unwrap();
+        assert_eq!(fingerprint(&back), Ok(a), "JSON round trip");
+        let pos = edited(&ck, |t| t[0].data_mut()[0] = 0.0);
+        let neg = edited(&ck, |t| t[0].data_mut()[0] = -0.0);
+        assert_eq!(pos.to_json(), neg.to_json());
+        assert_eq!(fingerprint(&pos), fingerprint(&neg), "-0.0 hashes as +0.0");
+
+        // Different texts, different prints.
+        let flipped = edited(&ck, |t| {
+            let v = &mut t[0].data_mut()[0];
+            *v = f32::from_bits(v.to_bits() ^ 1);
+        });
+        let relabeled = Checkpoint {
+            kind: "L".into(),
+            state: ck.state.clone(),
+        };
+        let transposed = edited(&ck, |t| {
+            let (rows, cols) = (t[0].shape()[0], t[0].shape()[1]);
+            assert_ne!(rows, cols, "a square tensor would not test the shape");
+            t[0] = Tensor::new(&[cols, rows], t[0].data().to_vec());
+        });
+        for (what, changed) in [
+            ("one flipped mantissa bit", flipped),
+            ("another kind label", relabeled),
+            ("a transposed shape", transposed),
+        ] {
+            assert_ne!(changed.to_json(), ck.to_json(), "{what}");
+            assert_ne!(fingerprint(&changed), Ok(a), "{what} kept the print");
+        }
+
+        // Non-finite values are refused by name, not hashed.
+        for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            let err = fingerprint(&edited(&ck, |t| t[1].data_mut()[2] = bad)).unwrap_err();
+            assert!(err.starts_with("tensor 1: element 2 is "), "{err}");
+        }
     }
 
     #[test]
@@ -192,14 +279,14 @@ mod tests {
         let data = dataset();
         let mut p = build_predictor(PredictorKind::Fc, HyperPreset::Fast, &data, 1);
         let boot = QuantizedSnapshot::new(
-            ModelSnapshot::new(Checkpoint::capture(p.as_mut()), 1),
+            ModelSnapshot::new(Checkpoint::capture(p.as_mut()), 1).unwrap(),
             InferenceMode::Exact,
         );
         let cell = SnapshotCell::new(boot);
         let held = cell.load();
         assert_eq!(held.version(), 1);
         cell.store(QuantizedSnapshot::new(
-            ModelSnapshot::new(Checkpoint::capture(p.as_mut()), 2),
+            ModelSnapshot::new(Checkpoint::capture(p.as_mut()), 2).unwrap(),
             InferenceMode::Exact,
         ));
         assert_eq!(cell.load().version(), 2);
@@ -211,7 +298,7 @@ mod tests {
         let data = dataset();
         let mut p = build_predictor(PredictorKind::Hybrid, HyperPreset::Fast, &data, 9);
         let snap = QuantizedSnapshot::new(
-            ModelSnapshot::new(Checkpoint::capture(p.as_mut()), 1),
+            ModelSnapshot::new(Checkpoint::capture(p.as_mut()), 1).unwrap(),
             InferenceMode::Int8,
         );
         assert!(snap.replica(HyperPreset::Fast, &data).is_ok());
@@ -246,7 +333,7 @@ mod tests {
     fn replica_restores_and_rejects_mismatched_data() {
         let data = dataset();
         let mut p = build_predictor(PredictorKind::Cnn, HyperPreset::Fast, &data, 5);
-        let snap = ModelSnapshot::new(Checkpoint::capture(p.as_mut()), 1);
+        let snap = ModelSnapshot::new(Checkpoint::capture(p.as_mut()), 1).unwrap();
         assert!(snap.replica(HyperPreset::Fast, &data).is_ok());
         assert!(
             snap.replica(HyperPreset::Paper, &data).is_err(),

@@ -7,21 +7,26 @@
 //! * a hot-swap to a torn/corrupt checkpoint keeps serving the old
 //!   snapshot (never a 500 with garbage), including with the
 //!   deterministic fault plane armed (`APOTS_FAULTS` semantics);
-//! * query validation 400s instead of clamping or panicking.
+//! * a checkpoint holding NaN/±inf is refused with a structured error,
+//!   at boot and on reload;
+//! * query validation 400s instead of clamping or panicking, and a
+//!   non-GET method 405s.
 //!
-//! The process-global knobs touched here (fault backend, thread pool)
-//! force every test in this binary through one lock.
+//! The process-global knobs touched here (fault backend, thread pool,
+//! telemetry) force every test in this binary through one lock.
 
 use std::collections::BTreeMap;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::{Arc, Mutex};
+use std::time::Duration;
 
 use apots::checkpoint::Checkpoint;
 use apots::config::{HyperPreset, PredictorKind};
 use apots::persist::CheckpointStore;
 use apots::predictor::build_predictor;
 use apots::InferenceMode;
+use apots_nn::StateDict;
 use apots_serde::Json;
 use apots_serve::{ServeConfig, Server};
 use apots_traffic::calendar::Calendar;
@@ -66,7 +71,16 @@ impl Client {
 
     /// Issues `GET path` and returns `(status, body)`.
     fn get(&mut self, path: &str) -> (u16, String) {
-        write!(self.stream, "GET {path} HTTP/1.1\r\nHost: test\r\n\r\n").expect("write");
+        self.request("GET", path)
+    }
+
+    /// Sends a body-less `method path` request; returns `(status, body)`.
+    fn request(&mut self, method: &str, path: &str) -> (u16, String) {
+        write!(
+            self.stream,
+            "{method} {path} HTTP/1.1\r\nHost: test\r\n\r\n"
+        )
+        .expect("write");
         self.buf.clear();
         let mut chunk = [0u8; 1024];
         loop {
@@ -204,16 +218,26 @@ fn serves_predictions_healthz_metrics_and_rejects_bad_queries() {
     assert_eq!(status, 200);
     assert!(body.contains("\"version\":1"), "{body}");
 
-    // Validation: out-of-range τ (too early, too late), bad road, junk.
-    for bad in [
-        format!("/predict?road=0&t={}", alpha + beta - 1),
-        format!("/predict?road=0&t={}", data.corridor().intervals()),
-        format!("/predict?road=99&t={tau}"),
-        "/predict?road=0".to_string(),
-        "/predict?road=zero&t=40".to_string(),
+    // Validation: out-of-range τ (too early, too late), bad road, junk,
+    // and a valid query under a method other than GET.
+    for (method, bad, want) in [
+        (
+            "GET",
+            format!("/predict?road=0&t={}", alpha + beta - 1),
+            400,
+        ),
+        (
+            "GET",
+            format!("/predict?road=0&t={}", data.corridor().intervals()),
+            400,
+        ),
+        ("GET", format!("/predict?road=99&t={tau}"), 400),
+        ("GET", "/predict?road=0".to_string(), 400),
+        ("GET", "/predict?road=zero&t=40".to_string(), 400),
+        ("POST", format!("/predict?road=1&t={tau}"), 405),
     ] {
-        let (status, body) = c.get(&bad);
-        assert_eq!(status, 400, "{bad} -> {body}");
+        let (status, body) = c.request(method, &bad);
+        assert_eq!(status, want, "{method} {bad} -> {body}");
         assert!(body.contains("error"), "{body}");
     }
     let (status, _) = c.get("/nope");
@@ -369,6 +393,87 @@ fn corrupt_checkpoint_is_rejected_and_old_snapshot_keeps_serving() {
     let after = c.get(&format!("/predict?road=3&t={tau}"));
     assert_eq!(after, before, "corrupt swap must not change answers");
     server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `/metrics`' count of rejected hot-swaps.
+fn swaps_rejected(c: &mut Client) -> u64 {
+    let (status, body) = c.get("/metrics");
+    assert_eq!(status, 200, "{body}");
+    body.split("\"swaps_rejected\":")
+        .nth(1)
+        .and_then(|rest| rest.split(',').next())
+        .and_then(|n| n.parse().ok())
+        .unwrap_or_else(|| panic!("no swaps_rejected in {body}"))
+}
+
+#[test]
+fn non_finite_checkpoint_is_refused_at_boot_and_on_reload() {
+    let _g = GLOBAL_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let data = dataset();
+    let ck = checkpoint(&data, PredictorKind::Fc, 8);
+
+    // Boot: a NaN or ±inf weight is a structured error, not a panic.
+    for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+        let mut tensors = ck.state.clone().into_tensors();
+        tensors[0].data_mut()[3] = bad;
+        let poisoned = Checkpoint {
+            kind: ck.kind.clone(),
+            state: StateDict::from_tensors(tensors),
+        };
+        match Server::start(ServeConfig::default(), data.clone(), poisoned, None) {
+            Ok(server) => {
+                server.shutdown();
+                panic!("booted a checkpoint holding {bad}");
+            }
+            Err(e) => assert!(
+                e.starts_with("boot checkpoint: tensor 0: element 3 is "),
+                "{e}"
+            ),
+        }
+    }
+
+    // Reload: a stored number beyond the f32 range would narrow to inf.
+    // Counters count only while telemetry is on. The watcher never polls
+    // on its own here, so the rejection count moves only through
+    // reload_now.
+    apots_obs::enable(None);
+    let dir = tmp_dir("non-finite-swap");
+    let store = CheckpointStore::open(&dir).unwrap();
+    let cfg = ServeConfig {
+        poll_interval: Duration::from_secs(3600),
+        ..ServeConfig::default()
+    };
+    let server = Server::start(
+        cfg,
+        data.clone(),
+        ck.clone(),
+        Some(CheckpointStore::open(&dir).unwrap()),
+    )
+    .unwrap();
+    let tau = data.config().alpha + data.config().beta + 23;
+    let mut c = Client::connect(server.addr());
+    let before = c.get(&format!("/predict?road=4&t={tau}"));
+    assert_eq!(before.0, 200);
+    let rejected = swaps_rejected(&mut c);
+
+    // Replace the first element of the first tensor with 1e39.
+    let text = ck.to_json();
+    let first = text.find("\"data\":[").unwrap() + "\"data\":[".len();
+    let end = first + text[first..].find(',').unwrap();
+    let overflowing = format!("{}1e39{}", &text[..first], &text[end..]);
+    store.save(Json::parse(&overflowing).unwrap()).unwrap();
+    let err = server.reload_now().unwrap_err();
+    assert!(
+        err.contains("tensor 0: element 0 (1e39) is not finite as f32"),
+        "{err}"
+    );
+    assert_eq!(swaps_rejected(&mut c), rejected + 1);
+    assert_eq!(server.version(), 1, "old snapshot must stay published");
+    let after = c.get(&format!("/predict?road=4&t={tau}"));
+    assert_eq!(after, before, "a refused swap must not change answers");
+    server.shutdown();
+    apots_obs::disable();
     let _ = std::fs::remove_dir_all(&dir);
 }
 
