@@ -91,10 +91,10 @@ pub struct AttackConfig {
     /// mask: hidden rows are never touched).
     pub mask: FeatureMask,
     /// Forward lane the attack queries run on. `Exact` (the default)
-    /// reproduces every historical attack outcome bit-for-bit; `FastF32`
-    /// and `Int8` trade a tolerance-bounded accuracy delta for query
-    /// throughput (DESIGN.md §15). Every lane is thread-count invariant,
-    /// so runs stay reproducible either way.
+    /// reproduces every historical attack outcome bit-for-bit; `Int8`
+    /// trades a tolerance-bounded accuracy delta for query throughput
+    /// (DESIGN.md §15). Both lanes are thread-count invariant, so runs
+    /// stay reproducible either way.
     pub mode: InferenceMode,
 }
 

@@ -33,6 +33,7 @@ use apots::checkpoint::Checkpoint;
 use apots::config::{HyperPreset, PredictorKind};
 use apots::predictor::build_predictor;
 use apots::InferenceMode;
+use apots_serde::atomic::Fnv1a;
 use apots_serve::{ServeConfig, Server};
 use apots_traffic::calendar::Calendar;
 use apots_traffic::{Corridor, DataConfig, SimConfig, TrafficDataset};
@@ -201,13 +202,11 @@ fn run_storm(addr: SocketAddr, queries: &[(usize, usize)], name: &str) -> StormR
     }
     let elapsed_ns = started.elapsed().as_nanos();
     bodies.sort_by_key(|(i, _)| *i);
-    let mut fnv: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut h = Fnv1a::new();
     for (_, body) in &bodies {
-        for &byte in body.as_bytes() {
-            fnv ^= byte as u64;
-            fnv = fnv.wrapping_mul(0x0000_0100_0000_01B3);
-        }
+        h.write(body.as_bytes());
     }
+    let fnv = h.finish();
     latencies.sort_unstable();
     StormResult {
         name: name.to_string(),

@@ -1,6 +1,6 @@
 //! In-house benchmark harness for the APOTS reproduction.
 //!
-//! A minimal, criterion-shaped timing harness so the eight bench targets
+//! A minimal, criterion-shaped timing harness so the bench targets
 //! under `benches/` keep their structure while the workspace stays free
 //! of external crates. The API mirrors the slice of `criterion` the
 //! repo used: [`Criterion::default`] with [`sample_size`](Criterion::sample_size),

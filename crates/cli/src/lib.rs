@@ -70,12 +70,12 @@ fn usage() -> &'static str {
      \x20            --model FILE [--addr HOST:PORT] [--workers N]\n\
      \x20            [--shards N] [--batch-max N] [--watch DIR]\n\
      \x20            [--poll-ms N] [--days N] [--seed N] [--preset fast|paper]\n\
-     \x20            [--quant off|fast|int8]\n\
+     \x20            [--quant off|int8]\n\
      \x20            (--watch hot-swaps checkpoints from a rotation dir;\n\
      \x20            torn or corrupt checkpoints are rejected and the old\n\
      \x20            model keeps serving — see DESIGN.md §14; --quant picks\n\
      \x20            the inference lane: off = bit-exact training kernels,\n\
-     \x20            fast = blocked f32, int8 = quantized weights — §15)\n\
+     \x20            int8 = quantized weights — §15)\n\
      \x20 attack     run a θ-bounded black-box attack on a checkpoint\n\
      \x20            --model FILE [--attack random-search|greedy|spsa]\n\
      \x20            [--budget N] [--theta X] [--samples N] [--json]\n\

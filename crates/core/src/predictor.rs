@@ -41,7 +41,7 @@ pub trait Predictor {
 
     /// Inference-only forward dispatched by [`InferenceMode`]. The
     /// default (`Exact`) is `forward(input, false)`, bit-identical to
-    /// training-time evaluation; fast lanes are tolerance-gated
+    /// training-time evaluation; the `Int8` lane is tolerance-gated
     /// (DESIGN.md §15).
     fn forward_infer(&mut self, input: &PredictorInput, _mode: InferenceMode) -> Tensor {
         self.forward(input, false)

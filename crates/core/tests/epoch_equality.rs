@@ -25,6 +25,7 @@
 use apots::config::{HyperPreset, PredictorKind, TrainConfig};
 use apots::predictor::build_predictor;
 use apots::trainer::{train_apots, train_plain};
+use apots_serde::atomic::Fnv1a;
 use apots_traffic::calendar::Calendar;
 use apots_traffic::{Corridor, DataConfig, FeatureMask, SimConfig, TrafficDataset};
 
@@ -63,15 +64,6 @@ fn tiny_config(adversarial: bool) -> TrainConfig {
     c
 }
 
-fn fnv1a(bytes: impl Iterator<Item = u8>) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 /// Trains one scenario and returns `(mse_bits, param_hash)`.
 fn run(ds: &TrafficDataset, kind: PredictorKind, adversarial: bool) -> (u32, u64) {
     let cfg = tiny_config(adversarial);
@@ -85,13 +77,13 @@ fn run(ds: &TrafficDataset, kind: PredictorKind, adversarial: bool) -> (u32, u64
         .final_mse()
         .expect("training produced no MSE")
         .to_bits();
-    let param_hash = fnv1a(
-        p.params_mut()
-            .iter()
-            .flat_map(|pr| pr.value.data().iter())
-            .flat_map(|v| v.to_bits().to_le_bytes()),
-    );
-    (mse_bits, param_hash)
+    let mut param_hash = Fnv1a::new();
+    for pr in p.params_mut() {
+        for v in pr.value.data() {
+            param_hash.write(&v.to_le_bytes());
+        }
+    }
+    (mse_bits, param_hash.finish())
 }
 
 fn check_all_at(threads: usize) {

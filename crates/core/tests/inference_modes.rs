@@ -1,10 +1,10 @@
-//! Acceptance tests for the inference fast lanes (DESIGN.md §15):
+//! Acceptance tests for the int8 inference lane (DESIGN.md §15):
 //!
-//! * every lane is bitwise thread-count invariant;
-//! * `FastF32` and `Int8` predictions track the `Exact` lane within the
-//!   documented accuracy bounds, per output and end-to-end (MSE delta);
-//! * training is bit-identical by construction — the fast-lane kernels
-//!   are unreachable from `train_with_options`, pinned via the kernel
+//! * the lane is bitwise thread-count invariant;
+//! * `Int8` predictions track the `Exact` lane within the documented
+//!   accuracy bounds, per output and end-to-end (MSE delta);
+//! * training is bit-identical by construction — the int8 kernels are
+//!   unreachable from `train_with_options`, pinned via the kernel
 //!   dispatch counters.
 //!
 //! The kernel counters are process globals, so the tests in this binary
@@ -17,7 +17,7 @@ use apots::predictor::build_predictor;
 use apots::runtime::TrainOptions;
 use apots::trainer::train_with_options;
 use apots::InferenceMode;
-use apots_obs::metrics::{KERNEL_QMATMUL, KERNEL_QUANTIZE, KERNEL_SGEMM_FAST};
+use apots_obs::metrics::{KERNEL_QMATMUL, KERNEL_QUANTIZE};
 use apots_tensor::Tensor;
 use apots_traffic::calendar::Calendar;
 use apots_traffic::{Corridor, DataConfig, FeatureMask, SimConfig, TrafficDataset};
@@ -79,29 +79,21 @@ fn every_lane_is_thread_invariant_and_tracks_exact_per_output() {
         let mut p = build_predictor(kind, HyperPreset::Fast, &data, 0xFA57);
         p.prepare(InferenceMode::Int8);
         let exact = infer(p.as_mut(), &data, 48, InferenceMode::Exact);
-        for mode in [InferenceMode::FastF32, InferenceMode::Int8] {
-            apots_par::set_threads(1);
-            let one = infer(p.as_mut(), &data, 48, mode);
-            apots_par::set_threads(4);
-            let four = infer(p.as_mut(), &data, 48, mode);
-            apots_par::reset_threads();
-            assert_eq!(
-                one.data(),
-                four.data(),
-                "{kind:?}/{mode:?} depends on APOTS_THREADS"
-            );
-            // Per-output accuracy: normalized speeds live in ~[0, 1], so
-            // these are absolute bounds on that scale.
-            let tol = match mode {
-                InferenceMode::FastF32 => 1e-4,
-                _ => 0.25,
-            };
-            for (a, b) in exact.data().iter().zip(one.data()) {
-                assert!(
-                    (a - b).abs() < tol,
-                    "{kind:?}/{mode:?}: {a} vs {b} (tol {tol})"
-                );
-            }
+        apots_par::set_threads(1);
+        let one = infer(p.as_mut(), &data, 48, InferenceMode::Int8);
+        apots_par::set_threads(4);
+        let four = infer(p.as_mut(), &data, 48, InferenceMode::Int8);
+        apots_par::reset_threads();
+        assert_eq!(
+            one.data(),
+            four.data(),
+            "{kind:?}/Int8 depends on APOTS_THREADS"
+        );
+        // Per-output accuracy: normalized speeds live in ~[0, 1], so this
+        // is an absolute bound on that scale.
+        let tol = 0.25;
+        for (a, b) in exact.data().iter().zip(one.data()) {
+            assert!((a - b).abs() < tol, "{kind:?}/Int8: {a} vs {b} (tol {tol})");
         }
     }
 }
@@ -116,37 +108,29 @@ fn e2e_mse_delta_of_fast_lanes_is_bounded_after_training() {
     let mut p = build_predictor(PredictorKind::Fc, HyperPreset::Fast, &data, cfg.seed);
     train_with_options(p.as_mut(), &data, &cfg, &mut TrainOptions::default()).expect("train");
     let exact = mse(p.as_mut(), &data, 64, InferenceMode::Exact);
-    for mode in [InferenceMode::FastF32, InferenceMode::Int8] {
-        let m = mse(p.as_mut(), &data, 64, mode);
-        let delta = (m - exact).abs();
-        // The e2e gate: a lane may move the test MSE by at most 5% of
-        // the exact value plus a 0.5 (km/h)² absolute floor.
-        assert!(
-            delta <= 0.05 * exact + 0.5,
-            "{mode:?}: MSE {m} vs exact {exact} (delta {delta})"
-        );
-    }
+    let m = mse(p.as_mut(), &data, 64, InferenceMode::Int8);
+    let delta = (m - exact).abs();
+    // The e2e gate: the lane may move the test MSE by at most 5% of the
+    // exact value plus a 0.5 (km/h)² absolute floor.
+    assert!(
+        delta <= 0.05 * exact + 0.5,
+        "Int8: MSE {m} vs exact {exact} (delta {delta})"
+    );
 }
 
 #[test]
 fn training_never_dispatches_fast_or_quantized_kernels() {
     let _g = GLOBAL_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let data = dataset();
-    let fast0 = KERNEL_SGEMM_FAST.get();
     let qmm0 = KERNEL_QMATMUL.get();
     let quant0 = KERNEL_QUANTIZE.get();
     let mut cfg = TrainConfig::fast_plain(FeatureMask::BOTH);
     cfg.epochs = 1;
     let mut p = build_predictor(PredictorKind::Hybrid, HyperPreset::Fast, &data, 0x7AA1);
     train_with_options(p.as_mut(), &data, &cfg, &mut TrainOptions::default()).expect("train");
-    // Bit-identical training by construction: the fast lanes are only
+    // Bit-identical training by construction: the int8 lane is only
     // reachable through forward_infer/forward_mode, which the training
     // loop never calls.
-    assert_eq!(
-        KERNEL_SGEMM_FAST.get(),
-        fast0,
-        "training hit the fast sgemm"
-    );
     assert_eq!(KERNEL_QMATMUL.get(), qmm0, "training hit the int8 matmul");
     assert_eq!(KERNEL_QUANTIZE.get(), quant0, "training quantized weights");
 }

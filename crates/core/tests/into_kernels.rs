@@ -10,13 +10,13 @@
 //! reassociation, zero-skip shortcut, or stray fused-multiply-add shows up
 //! as a hard failure rather than a tolerance blur.
 //!
-//! Layer-level fusion (the LSTM/GRU fused gate loops) is pinned here too:
+//! Layer-level fusion (the LSTM fused gate loop) is pinned here too:
 //! forward outputs, backward input-gradients and parameter gradients must
 //! not depend on the thread count. Full-epoch trainer equality lives in
 //! `epoch_equality.rs`; this file is the kernel-granularity half.
 
 use apots_nn::layer::Layer;
-use apots_nn::{Gru, Lstm};
+use apots_nn::Lstm;
 use apots_tensor::rng::{seeded, Rng, SeededRng};
 use apots_tensor::{reference, Tensor};
 
@@ -276,31 +276,6 @@ fn fused_lstm_is_thread_count_invariant() {
             ));
         });
         let what = format!("Lstm seq={return_sequences} [{b}x{steps}x{input_size}]→{hidden}");
-        assert_bits_eq(&runs[0].0, &runs[1].0, &format!("{what} forward"));
-        assert_bits_eq(&runs[0].1, &runs[1].1, &format!("{what} dx"));
-        assert_eq!(runs[0].2, runs[1].2, "{what} param grads");
-    }
-}
-
-#[test]
-fn fused_gru_is_thread_count_invariant() {
-    let mut rng = seeded(0xA11C_0008);
-    for &return_sequences in &[false, true] {
-        let b = rng.random_range(2usize..=6);
-        let steps = rng.random_range(2usize..=7);
-        let input_size = rng.random_range(3usize..=9);
-        let hidden = rng.random_range(3usize..=11);
-        let x = rand_tensor(&mut rng, &[b, steps, input_size]);
-
-        let mut runs = Vec::new();
-        for_each_thread_count(|_| {
-            runs.push(rnn_round(
-                |r| Gru::new(input_size, hidden, return_sequences, r),
-                &x,
-                0xBEEF,
-            ));
-        });
-        let what = format!("Gru seq={return_sequences} [{b}x{steps}x{input_size}]→{hidden}");
         assert_bits_eq(&runs[0].0, &runs[1].0, &format!("{what} forward"));
         assert_bits_eq(&runs[0].1, &runs[1].1, &format!("{what} dx"));
         assert_eq!(runs[0].2, runs[1].2, "{what} param grads");

@@ -61,8 +61,9 @@ impl Env {
     /// single opt-in point; tracing never changes numerical results).
     ///
     /// # Panics
-    /// Panics on a malformed `APOTS_FAULTS` spec — a typo'd fault
-    /// schedule must never silently run disarmed.
+    /// Panics on a malformed `APOTS_FAULTS` spec or a malformed value of
+    /// any variable above — a typo'd knob must never silently run the
+    /// default configuration.
     pub fn from_env() -> Self {
         let _ = apots_obs::init_from_env();
         match apots_faults::FaultSpec::from_env() {
@@ -72,33 +73,44 @@ impl Env {
             Ok(None) => {}
             Err(e) => panic!("{e}"),
         }
-        let preset = match std::env::var("APOTS_PRESET").as_deref() {
-            Ok("paper") => HyperPreset::Paper,
-            _ => HyperPreset::Fast,
+        match Self::from_vars(|name| std::env::var(name).ok()) {
+            Ok(env) => env,
+            Err(e) => panic!("{e}"),
+        }
+    }
+
+    /// Parses the settings from `lookup`, which reads one variable by
+    /// name. An unset or empty variable keeps its default; a set value
+    /// that does not parse — `APOTS_PRESET` other than `fast` / `paper`,
+    /// or a non-integer `APOTS_SEED`, `APOTS_EPOCHS`, `APOTS_MAX_SAMPLES`
+    /// or `APOTS_SAVE_EVERY` — is an error naming the variable, the value
+    /// and the accepted form.
+    fn from_vars(lookup: impl Fn(&str) -> Option<String>) -> Result<Self, String> {
+        let var = |name: &str| lookup(name).filter(|v| !v.is_empty());
+        fn integer<T: std::str::FromStr>(name: &str, value: &str) -> Result<T, String> {
+            value
+                .parse()
+                .map_err(|_| format!("{name}={value:?}: expected a non-negative integer"))
+        }
+        let preset = match var("APOTS_PRESET").as_deref() {
+            None | Some("fast") => HyperPreset::Fast,
+            Some("paper") => HyperPreset::Paper,
+            Some(other) => {
+                return Err(format!("APOTS_PRESET={other:?}: expected fast or paper"));
+            }
         };
-        let seed = std::env::var("APOTS_SEED")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(7);
-        let epochs = std::env::var("APOTS_EPOCHS")
-            .ok()
-            .and_then(|v| v.parse().ok());
-        let max_samples = std::env::var("APOTS_MAX_SAMPLES")
-            .ok()
-            .and_then(|v| v.parse().ok());
-        let checkpoint_dir = std::env::var("APOTS_CHECKPOINT_DIR")
-            .ok()
-            .filter(|v| !v.is_empty())
-            .map(PathBuf::from);
-        let save_every = std::env::var("APOTS_SAVE_EVERY")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(1);
-        let resume = matches!(
-            std::env::var("APOTS_RESUME").as_deref(),
-            Ok("1") | Ok("true")
-        );
-        Self {
+        let seed = var("APOTS_SEED").map_or(Ok(7), |v| integer("APOTS_SEED", &v))?;
+        let epochs = var("APOTS_EPOCHS")
+            .map(|v| integer("APOTS_EPOCHS", &v))
+            .transpose()?;
+        let max_samples = var("APOTS_MAX_SAMPLES")
+            .map(|v| integer("APOTS_MAX_SAMPLES", &v))
+            .transpose()?;
+        let checkpoint_dir = var("APOTS_CHECKPOINT_DIR").map(PathBuf::from);
+        let save_every =
+            var("APOTS_SAVE_EVERY").map_or(Ok(1), |v| integer("APOTS_SAVE_EVERY", &v))?;
+        let resume = matches!(var("APOTS_RESUME").as_deref(), Some("1") | Some("true"));
+        Ok(Self {
             preset,
             seed,
             epochs,
@@ -106,7 +118,7 @@ impl Env {
             checkpoint_dir,
             save_every,
             resume,
-        }
+        })
     }
 
     /// Builds [`TrainOptions`] for one `(kind, config)` run: when
@@ -360,12 +372,57 @@ pub fn table3_masks() -> [(&'static str, FeatureMask); 2] {
 mod tests {
     use super::*;
 
+    /// `Env::from_vars` over a fixed variable list, leaving the process
+    /// environment alone.
+    fn env_with(vars: &[(&str, &str)]) -> Result<Env, String> {
+        Env::from_vars(|name| {
+            vars.iter()
+                .find(|(k, _)| *k == name)
+                .map(|(_, v)| v.to_string())
+        })
+    }
+
     #[test]
     fn env_defaults() {
-        let env = Env::from_env();
+        let env = env_with(&[]).unwrap();
         assert_eq!(env.seed, 7);
+        assert_eq!(env.preset, HyperPreset::Fast);
+        assert_eq!((env.epochs, env.max_samples), (None, None));
+        assert_eq!((env.save_every, env.resume), (1, false));
+        assert!(env.checkpoint_dir.is_none());
         let cfg = env.tune(TrainConfig::fast_plain(FeatureMask::BOTH));
         assert_eq!(cfg.seed, 7);
+        // An empty value is unset, not malformed.
+        assert_eq!(env_with(&[("APOTS_EPOCHS", "")]).unwrap().epochs, None);
+
+        let env = env_with(&[
+            ("APOTS_PRESET", "paper"),
+            ("APOTS_SEED", "11"),
+            ("APOTS_EPOCHS", "3"),
+            ("APOTS_MAX_SAMPLES", "64"),
+            ("APOTS_SAVE_EVERY", "2"),
+        ])
+        .unwrap();
+        assert_eq!(env.preset, HyperPreset::Paper);
+        assert_eq!(
+            (env.seed, env.epochs, env.max_samples),
+            (11, Some(3), Some(64))
+        );
+        assert_eq!(env.save_every, 2);
+    }
+
+    #[test]
+    fn env_refuses_malformed_values_by_name() {
+        for (name, value, form) in [
+            ("APOTS_PRESET", "Paper", "expected fast or paper"),
+            ("APOTS_SEED", "0x7", "expected a non-negative integer"),
+            ("APOTS_EPOCHS", "ten", "expected a non-negative integer"),
+            ("APOTS_MAX_SAMPLES", "-1", "expected a non-negative integer"),
+            ("APOTS_SAVE_EVERY", "1.5", "expected a non-negative integer"),
+        ] {
+            let err = env_with(&[(name, value)]).unwrap_err();
+            assert_eq!(err, format!("{name}={value:?}: {form}"));
+        }
     }
 
     #[test]

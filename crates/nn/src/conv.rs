@@ -290,18 +290,12 @@ impl Layer for Conv2d {
         );
         let (b, h, w) = (s[0], s[2], s[3]);
         // Same im2col lowering as `forward`; only the patch-matrix product
-        // switches lanes. Nothing is cached (inference never backprops).
+        // switches to int8. Nothing is cached (inference never backprops).
         let cols = self.im2col(input);
-        let mut m = match mode {
-            InferenceMode::FastF32 => cols.matmul_fast(&self.w),
-            InferenceMode::Int8 => {
-                if self.qw.is_none() {
-                    self.prepare(InferenceMode::Int8);
-                }
-                quant::qmatmul(&cols, self.qw.as_ref().unwrap())
-            }
-            InferenceMode::Exact => unreachable!(),
-        };
+        if self.qw.is_none() {
+            self.prepare(InferenceMode::Int8);
+        }
+        let mut m = quant::qmatmul(&cols, self.qw.as_ref().unwrap());
         m.add_row_broadcast(&self.b);
         let f_ch = self.out_ch;
         let mut out = workspace::checkout(b * f_ch * h * w);

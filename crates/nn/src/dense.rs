@@ -125,16 +125,10 @@ impl Layer for Dense {
             input.cols(),
             self.in_features()
         );
-        let mut out = match mode {
-            InferenceMode::FastF32 => input.matmul_fast(&self.w),
-            InferenceMode::Int8 => {
-                if self.qw.is_none() {
-                    self.prepare(InferenceMode::Int8);
-                }
-                quant::qmatmul(input, self.qw.as_ref().unwrap())
-            }
-            InferenceMode::Exact => unreachable!(),
-        };
+        if self.qw.is_none() {
+            self.prepare(InferenceMode::Int8);
+        }
+        let mut out = quant::qmatmul(input, self.qw.as_ref().unwrap());
         out.add_row_broadcast(&self.b);
         out
     }
@@ -208,10 +202,6 @@ mod tests {
         let x = Tensor::rand_uniform(&[5, 16], -1.0, 1.0, &mut rng);
         let exact = d.forward_mode(&x, InferenceMode::Exact);
         assert_eq!(exact, d.forward(&x, false), "Exact lane must be bitwise");
-        let fast = d.forward_mode(&x, InferenceMode::FastF32);
-        for (a, b) in exact.data().iter().zip(fast.data()) {
-            assert!((a - b).abs() < 1e-4, "{a} vs {b}");
-        }
         d.prepare(InferenceMode::Int8);
         let q = d.forward_mode(&x, InferenceMode::Int8);
         for (a, b) in exact.data().iter().zip(q.data()) {

@@ -22,8 +22,9 @@ pub struct Param<'a> {
 pub trait Layer {
     /// Computes the layer output for `input`.
     ///
-    /// `train` selects training-time behaviour (e.g. dropout masking);
-    /// inference passes `false`.
+    /// `train` selects training-time behaviour: the LSTM and conv layers
+    /// keep the caches `backward` needs (BPTT state, the patch matrix)
+    /// only on a training forward; inference passes `false`.
     fn forward(&mut self, input: &Tensor, train: bool) -> Tensor;
 
     /// Propagates `grad_out` (∂loss/∂output) backwards, storing parameter
@@ -42,9 +43,9 @@ pub trait Layer {
         self.params_mut().iter().map(|p| p.value.len()).sum()
     }
 
-    /// Pre-builds whatever `mode` needs before serving (e.g. int8 weight
+    /// Pre-builds whatever `mode` needs before serving (the int8 weight
     /// quantization), so the first request doesn't pay for it. Layers
-    /// without a fast lane ignore this.
+    /// without an int8 lane ignore this.
     ///
     /// Training never calls this: the training loop only goes through
     /// [`Layer::forward`], which stays on the bit-exact serial kernels
@@ -55,9 +56,9 @@ pub trait Layer {
     ///
     /// `Exact` (the default implementation) is `forward(input, false)` —
     /// bit-identical to what training-time evaluation computes. Layers
-    /// with fast lanes override this to route their matmuls through the
-    /// blocked f32 or int8 kernels; those lanes are tolerance-gated, not
-    /// bit-exact (DESIGN.md §15).
+    /// with weight matrices override this to route `Int8` through the
+    /// quantized matmul; that lane is tolerance-gated, not bit-exact
+    /// (DESIGN.md §15).
     fn forward_mode(&mut self, input: &Tensor, _mode: InferenceMode) -> Tensor {
         self.forward(input, false)
     }

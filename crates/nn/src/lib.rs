@@ -8,13 +8,12 @@
 //! * [`Conv2d`] same-padding 2-D convolutions (im2col based);
 //! * [`Lstm`] long short-term memory layers with full backpropagation
 //!   through time;
-//! * [`activation`] layers (ReLU, leaky ReLU, sigmoid, tanh) and
-//!   [`Dropout`];
+//! * [`activation`] layers (ReLU, leaky ReLU, sigmoid, tanh);
 //! * [`Sequential`] containers;
 //! * numerically-stable [`loss`] functions (MSE, BCE-with-logits — the GAN
 //!   losses of Eq 1/2 in the paper);
-//! * [`optim`] optimizers (SGD with momentum, Adam) with global-norm
-//!   gradient clipping;
+//! * the [`Adam`] optimizer with global-norm gradient clipping
+//!   ([`optim`]);
 //! * a finite-difference [`gradcheck`] harness used by this crate's tests to
 //!   verify every analytic gradient.
 //!
@@ -22,14 +21,14 @@
 //! caches whatever the matching `backward` needs, exactly like classic
 //! layer-oriented frameworks. No autograd tape — each layer's backward pass
 //! is derived and written by hand, then verified by gradient checking.
+//! Serving goes through [`Layer::forward_mode`], which runs one of two
+//! [`InferenceMode`] lanes: `Exact`, bit-identical to `forward(x, false)`,
+//! or `Int8`, quantized weights with i32 accumulation.
 
 pub mod activation;
-pub mod attention;
 pub mod conv;
 pub mod dense;
-pub mod dropout;
 pub mod gradcheck;
-pub mod gru;
 pub mod init;
 pub mod layer;
 pub mod loss;
@@ -40,14 +39,11 @@ pub mod sequential;
 pub mod state;
 
 pub use activation::{LeakyRelu, Relu, Sigmoid, Tanh};
-pub use attention::TemporalAttention;
 pub use conv::Conv2d;
 pub use dense::Dense;
-pub use dropout::Dropout;
-pub use gru::Gru;
 pub use layer::{Layer, Param};
 pub use lstm::Lstm;
-pub use optim::{clip_global_norm, Adam, AdamState, Optimizer, Sgd};
+pub use optim::{clip_global_norm, Adam, AdamState, Optimizer};
 pub use schedule::{EarlyStopping, LrSchedule};
 pub use sequential::Sequential;
 pub use state::StateDict;

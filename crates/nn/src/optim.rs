@@ -1,5 +1,5 @@
-//! Optimizers: SGD with momentum and Adam, plus global-norm gradient
-//! clipping (used to stabilise BPTT through the LSTM predictors).
+//! The Adam optimizer and global-norm gradient clipping (used to
+//! stabilise BPTT through the LSTM predictors).
 //!
 //! Optimizers are stateful and identify parameters *positionally*: call
 //! `step` with the same `params_mut()` ordering every time (which layer
@@ -21,63 +21,6 @@ pub trait Optimizer {
 
     /// Replaces the learning rate (e.g. for decay schedules).
     fn set_learning_rate(&mut self, lr: f32);
-}
-
-/// Stochastic gradient descent with classical momentum.
-pub struct Sgd {
-    lr: f32,
-    momentum: f32,
-    velocity: Vec<Tensor>,
-}
-
-impl Sgd {
-    /// Creates SGD with learning rate `lr` and momentum coefficient
-    /// `momentum` (0 disables momentum).
-    pub fn new(lr: f32, momentum: f32) -> Self {
-        assert!(lr > 0.0, "Sgd: learning rate must be positive");
-        assert!(
-            (0.0..1.0).contains(&momentum),
-            "Sgd: momentum must be in [0, 1)"
-        );
-        Self {
-            lr,
-            momentum,
-            velocity: Vec::new(),
-        }
-    }
-}
-
-impl Optimizer for Sgd {
-    fn step(&mut self, params: Vec<Param<'_>>) {
-        if self.velocity.is_empty() {
-            self.velocity = params
-                .iter()
-                .map(|p| Tensor::zeros(p.value.shape()))
-                .collect();
-        }
-        assert_eq!(
-            self.velocity.len(),
-            params.len(),
-            "Sgd: parameter count changed between steps"
-        );
-        for (p, v) in params.into_iter().zip(self.velocity.iter_mut()) {
-            if self.momentum > 0.0 {
-                v.scale_in_place(self.momentum);
-                v.axpy(-self.lr, p.grad);
-                p.value.add_assign_t(v);
-            } else {
-                p.value.axpy(-self.lr, p.grad);
-            }
-        }
-    }
-
-    fn learning_rate(&self) -> f32 {
-        self.lr
-    }
-
-    fn set_learning_rate(&mut self, lr: f32) {
-        self.lr = lr;
-    }
 }
 
 /// Adam (Kingma & Ba) with bias correction.
@@ -313,38 +256,6 @@ mod tests {
     use crate::loss::mse;
     use apots_tensor::rng::seeded;
     use apots_tensor::Tensor;
-
-    /// One step of plain SGD moves a scalar parameter opposite its gradient.
-    #[test]
-    fn sgd_moves_against_gradient() {
-        let mut w = Tensor::from_vec(vec![1.0]);
-        let mut g = Tensor::from_vec(vec![0.5]);
-        let mut opt = Sgd::new(0.1, 0.0);
-        opt.step(vec![Param {
-            value: &mut w,
-            grad: &mut g,
-        }]);
-        assert!((w.data()[0] - 0.95).abs() < 1e-6);
-    }
-
-    #[test]
-    fn sgd_momentum_accumulates() {
-        let mut w = Tensor::from_vec(vec![0.0]);
-        let mut g = Tensor::from_vec(vec![1.0]);
-        let mut opt = Sgd::new(0.1, 0.9);
-        opt.step(vec![Param {
-            value: &mut w,
-            grad: &mut g,
-        }]);
-        let first = w.data()[0];
-        opt.step(vec![Param {
-            value: &mut w,
-            grad: &mut g,
-        }]);
-        let second_delta = w.data()[0] - first;
-        // With momentum the second step is larger than the first.
-        assert!(second_delta.abs() > first.abs());
-    }
 
     #[test]
     fn adam_first_step_is_lr_sized() {

@@ -273,9 +273,6 @@ pub static KERNEL_ADD_ROW_BROADCAST: Counter = Counter::new("kernel.add_row_broa
 /// Matmul dispatches that stayed serial under the `PAR_GRAIN_MACS` gate.
 /// Size-based, decided before any threading — deterministic.
 pub static KERNEL_SERIAL_BELOW_GRAIN: Counter = Counter::new("kernel.serial_below_grain", true);
-/// Blocked f32 sgemm microkernel dispatches (the `InferenceMode::FastF32`
-/// lane; must stay 0 across any training run).
-pub static KERNEL_SGEMM_FAST: Counter = Counter::new("kernel.sgemm_fast", true);
 /// Int8×int8 matmul dispatches (the `InferenceMode::Int8` lane; must
 /// stay 0 across any training run).
 pub static KERNEL_QMATMUL: Counter = Counter::new("kernel.qmatmul", true);
@@ -343,7 +340,6 @@ pub static ALL_COUNTERS: &[&Counter] = &[
     &KERNEL_SUM_AXIS0,
     &KERNEL_ADD_ROW_BROADCAST,
     &KERNEL_SERIAL_BELOW_GRAIN,
-    &KERNEL_SGEMM_FAST,
     &KERNEL_QMATMUL,
     &KERNEL_QUANTIZE,
     &OPTIM_ADAM_STEP,

@@ -42,6 +42,11 @@ fn f(j: &Json, key: &str) -> Option<f64> {
 /// registry order for counters) and hashes the concatenation. Two traced
 /// runs of the same seeded workload must produce equal hashes at any
 /// `APOTS_THREADS`.
+///
+/// Counter lines whose value is 0 are skipped: a counter the run never
+/// bumped says nothing about what it did, so registering or deleting a
+/// counter leaves the hash alone, while one that moves to or from 0
+/// still changes it.
 pub fn det_hash(text: &str) -> Result<u64, String> {
     let lines = parse_lines(text)?;
     let mut canon = String::new();
@@ -61,6 +66,9 @@ pub fn det_hash(text: &str) -> Result<u64, String> {
                 }
             }
             "counter" => {
+                if f(j, "value") == Some(0.0) {
+                    continue;
+                }
                 m.insert(
                     "value".into(),
                     j.get("value").cloned().unwrap_or(Json::Null),
@@ -450,6 +458,24 @@ mod tests {
             "\"kernel.matmul\",\"det\":true,\"value\":13",
         );
         assert_ne!(base, det_hash(&changed2).unwrap());
+    }
+
+    #[test]
+    fn det_hash_ignores_zero_valued_counters() {
+        let base = det_hash(SAMPLE).unwrap();
+        let with_counter = |v: u32| {
+            format!(
+                "{SAMPLE}{{\"kind\":\"counter\",\"name\":\"kernel.qmatmul\",\"det\":true,\"value\":{v}}}\n"
+            )
+        };
+        assert_eq!(base, det_hash(&with_counter(0)).unwrap());
+        assert_ne!(base, det_hash(&with_counter(1)).unwrap());
+        // A counter that falls to 0 moves the hash too.
+        let zeroed = SAMPLE.replace(
+            "\"kernel.matmul\",\"det\":true,\"value\":12",
+            "\"kernel.matmul\",\"det\":true,\"value\":0",
+        );
+        assert_ne!(base, det_hash(&zeroed).unwrap());
     }
 
     #[test]

@@ -21,7 +21,6 @@
 
 mod kernels;
 pub mod linalg;
-pub mod microkernels;
 pub mod quant;
 pub mod reference;
 pub mod rng;

@@ -10,9 +10,9 @@
 //!
 //! The split between the two lanes is expressed by [`InferenceMode`]:
 //! `Exact` is the serial-chain f32 path (bit-identical to training
-//! forwards), while `FastF32` and `Int8` are *inference-only* fast lanes
-//! that are allowed to reorder reductions and are therefore gated by
-//! accuracy tolerances instead of bit-equality (DESIGN.md §15).
+//! forwards), while `Int8` is an *inference-only* lane whose quantized
+//! weights are gated by accuracy tolerances instead of bit-equality
+//! (DESIGN.md §15).
 
 use crate::workspace;
 
@@ -167,38 +167,32 @@ impl Storage for SInt8Storage {
 /// * [`Exact`](InferenceMode::Exact) — the training kernels: one serial
 ///   ascending-`k` f32 chain per output element, bit-identical to
 ///   `forward(input, false)` for every thread count.
-/// * [`FastF32`](InferenceMode::FastF32) — blocked 8-lane f32 sgemm
-///   microkernels ([`crate::microkernels`]); *allowed to reorder
-///   reductions*, gated by per-kernel max-abs-error bounds.
 /// * [`Int8`](InferenceMode::Int8) — per-row absmax symmetric int8
 ///   weights with i32 accumulators ([`crate::quant`]); gated by
 ///   quantization error bounds.
 ///
 /// Training never sees this enum: `train_with_options` only calls
-/// `forward`, so the fast lanes are unreachable from the training loop
+/// `forward`, so the int8 lane is unreachable from the training loop
 /// (enforced by test via the kernel dispatch counters).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum InferenceMode {
     /// Bit-exact serial-chain f32 kernels (the default everywhere).
     Exact,
-    /// Blocked f32 microkernels; reductions may be reordered.
-    FastF32,
     /// Int8-quantized weights with i32 accumulation.
     Int8,
 }
 
 impl InferenceMode {
-    /// Parses the CLI spelling (`off` | `fast` | `int8`).
+    /// Parses the CLI spelling (`off` | `int8`).
     ///
     /// # Errors
     /// Returns a descriptive error for any other spelling.
     pub fn parse(s: &str) -> Result<Self, String> {
         match s {
             "off" | "exact" => Ok(InferenceMode::Exact),
-            "fast" => Ok(InferenceMode::FastF32),
             "int8" => Ok(InferenceMode::Int8),
             other => Err(format!(
-                "unknown inference mode {other:?} (expected off, fast or int8)"
+                "unknown inference mode {other:?} (expected off or int8)"
             )),
         }
     }
@@ -208,7 +202,6 @@ impl std::fmt::Display for InferenceMode {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(match self {
             InferenceMode::Exact => "off",
-            InferenceMode::FastF32 => "fast",
             InferenceMode::Int8 => "int8",
         })
     }
@@ -246,13 +239,15 @@ mod tests {
     #[test]
     fn inference_mode_parses_cli_spellings() {
         assert_eq!(InferenceMode::parse("off").unwrap(), InferenceMode::Exact);
-        assert_eq!(
-            InferenceMode::parse("fast").unwrap(),
-            InferenceMode::FastF32
-        );
         assert_eq!(InferenceMode::parse("int8").unwrap(), InferenceMode::Int8);
         let err = InferenceMode::parse("int4").unwrap_err();
         assert!(err.contains("int4") && err.contains("int8"), "{err}");
+        // `fast` names no lane; it must be refused, not mapped to another.
+        let err = InferenceMode::parse("fast").unwrap_err();
+        assert!(
+            err.contains("\"fast\"") && err.contains("off") && err.contains("int8"),
+            "{err}"
+        );
         assert_eq!(InferenceMode::Exact.to_string(), "off");
         assert_eq!(InferenceMode::Int8.to_string(), "int8");
     }

@@ -567,8 +567,11 @@ impl RoadNetwork {
         )
     }
 
-    /// FNV-1a checksum over the bit patterns of every speed and volume
-    /// sample in segment-major order — the corpus byte-identity anchor.
+    /// FNV-1a-style checksum over the bit patterns of every speed and
+    /// volume sample in segment-major order — the corpus byte-identity
+    /// anchor. Its multiplier is `0x1000_0000_01b3`, not the FNV prime
+    /// of `apots_serde::atomic::Fnv1a`; the network report golden and
+    /// every recorded corpus checksum pin that value.
     pub fn checksum(&self) -> u64 {
         let mut h = 0xcbf2_9ce4_8422_2325u64;
         let mut eat = |bits: u32| {

@@ -750,8 +750,9 @@ impl ScenarioCorpus {
         OutageView::new(&view, &self.chain_outage_plan(segment, m))
     }
 
-    /// FNV-1a checksum over speeds, volumes and the outage mask — the
-    /// corpus byte-identity anchor.
+    /// Checksum over speeds, volumes and the outage mask — the corpus
+    /// byte-identity anchor. It continues [`RoadNetwork::checksum`]'s
+    /// state with that hash's own multiplier, one step per outage flag.
     pub fn checksum(&self) -> u64 {
         let mut h = self.network.checksum();
         for s in 0..self.outage.n_roads() {
