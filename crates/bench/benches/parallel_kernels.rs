@@ -78,7 +78,7 @@ fn bench_conv2d(c: &mut Criterion) {
             |bench| {
                 with_threads(threads, || {
                     bench.iter(|| {
-                        let y = conv.forward(&x, true);
+                        let y = conv.forward(&x);
                         black_box(conv.backward(&g));
                         black_box(y)
                     })

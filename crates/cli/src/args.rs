@@ -66,6 +66,23 @@ impl Args {
         }
     }
 
+    /// Errors on the first option or flag not in `accepted`, naming it
+    /// and listing the accepted ones, so a command refuses options it
+    /// would otherwise silently ignore.
+    pub fn expect_only(&self, accepted: &[&str]) -> Result<(), String> {
+        let given = self.values.keys().chain(&self.flags);
+        match given.into_iter().find(|k| !accepted.contains(&k.as_str())) {
+            None => Ok(()),
+            Some(k) => {
+                let list: Vec<String> = accepted.iter().map(|a| format!("--{a}")).collect();
+                Err(format!(
+                    "unknown option --{k} (accepted: {})",
+                    list.join(", ")
+                ))
+            }
+        }
+    }
+
     /// `f64` option by name (error on malformed values).
     pub fn get_f64(&self, key: &str) -> Result<Option<f64>, String> {
         self.values
@@ -160,6 +177,18 @@ mod tests {
         assert!(args.expect_no_positionals().is_err());
         let (_, args) = Args::parse(&strs(&["train", "--epochs", "6"])).unwrap();
         assert!(args.expect_no_positionals().is_ok());
+    }
+
+    #[test]
+    fn refuses_options_outside_the_accepted_set() {
+        let accepted = ["model", "json"];
+        let (_, args) = Args::parse(&strs(&["eval", "--model", "m", "--json"])).unwrap();
+        assert!(args.expect_only(&accepted).is_ok());
+        let (_, args) = Args::parse(&strs(&["eval", "--model", "m", "--jsn"])).unwrap();
+        assert_eq!(
+            args.expect_only(&accepted).unwrap_err(),
+            "unknown option --jsn (accepted: --model, --json)"
+        );
     }
 
     #[test]

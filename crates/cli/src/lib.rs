@@ -68,14 +68,16 @@ fn usage() -> &'static str {
      \x20            --model FILE --day N --from HH:MM --to HH:MM\n\
      \x20 serve      run the online inference service (HTTP/1.1)\n\
      \x20            --model FILE [--addr HOST:PORT] [--workers N]\n\
-     \x20            [--shards N] [--batch-max N] [--watch DIR]\n\
-     \x20            [--poll-ms N] [--days N] [--seed N] [--preset fast|paper]\n\
-     \x20            [--quant off|int8]\n\
-     \x20            (--watch hot-swaps checkpoints from a rotation dir;\n\
-     \x20            torn or corrupt checkpoints are rejected and the old\n\
-     \x20            model keeps serving — see DESIGN.md §14; --quant picks\n\
-     \x20            the inference lane: off = bit-exact training kernels,\n\
-     \x20            int8 = quantized weights — §15)\n\
+     \x20            [--watch DIR] [--poll-ms N] [--days N] [--seed N]\n\
+     \x20            [--preset fast|paper] [--quant off|int8]\n\
+     \x20            (each of the N workers answers its connections'\n\
+     \x20            requests on the one shared model; --watch hot-swaps\n\
+     \x20            checkpoints from a rotation dir; torn or corrupt\n\
+     \x20            checkpoints are rejected and the old model keeps\n\
+     \x20            serving — see DESIGN.md §14; --quant picks the\n\
+     \x20            inference lane: off = bit-exact training kernels,\n\
+     \x20            int8 = quantized weights — §15; any other option\n\
+     \x20            is refused)\n\
      \x20 attack     run a θ-bounded black-box attack on a checkpoint\n\
      \x20            --model FILE [--attack random-search|greedy|spsa]\n\
      \x20            [--budget N] [--theta X] [--samples N] [--json]\n\
@@ -283,13 +285,18 @@ fn parse_kind(s: &str) -> Result<PredictorKind, String> {
         .ok_or_else(|| format!("unknown predictor kind {s:?} (use F, L, C or H)"))
 }
 
+/// `--preset fast|paper` (default `fast`); any other spelling is an
+/// error, not the small model.
+fn parse_preset(args: &Args) -> Result<HyperPreset, String> {
+    args.get_str("preset")
+        .map_or(Ok(HyperPreset::Fast), HyperPreset::parse)
+        .map_err(|e| format!("--preset {e}"))
+}
+
 fn cmd_train(args: &Args) -> Result<(), String> {
-    let data = build_data(args)?;
     let kind = parse_kind(args.get_str("kind").unwrap_or("F"))?;
-    let preset = match args.get_str("preset").unwrap_or("fast") {
-        "paper" => HyperPreset::Paper,
-        _ => HyperPreset::Fast,
-    };
+    let preset = parse_preset(args)?;
+    let data = build_data(args)?;
     let out = args
         .get_str("out")
         .ok_or_else(|| "--out FILE is required".to_string())?;
@@ -347,25 +354,27 @@ fn cmd_train(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-fn load_model(args: &Args, data: &TrafficDataset) -> Result<Box<dyn apots::Predictor>, String> {
+/// Reads the `--model` checkpoint and restores it under `--preset`
+/// against the corridor `--days` / `--seed` regenerate. The options are
+/// checked before the corridor is simulated.
+fn load_model(args: &Args) -> Result<(TrafficDataset, Box<dyn apots::Predictor>), String> {
+    let preset = parse_preset(args)?;
     let path = args
         .get_str("model")
         .ok_or_else(|| "--model FILE is required".to_string())?;
     let json = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     let ck = Checkpoint::from_json(&json).map_err(|e| format!("bad checkpoint: {e}"))?;
-    let preset = match args.get_str("preset").unwrap_or("fast") {
-        "paper" => HyperPreset::Paper,
-        _ => HyperPreset::Fast,
-    };
-    ck.restore(preset, data)
-        .map_err(|e| format!("bad checkpoint: {e}"))
+    let data = build_data(args)?;
+    let model = ck
+        .restore(preset, &data)
+        .map_err(|e| format!("bad checkpoint: {e}"))?;
+    Ok((data, model))
 }
 
 fn cmd_eval(args: &Args) -> Result<(), String> {
-    let data = build_data(args)?;
-    let mut model = load_model(args, &data)?;
+    let (data, model) = load_model(args)?;
     let eval = evaluate(
-        model.as_mut(),
+        model.as_ref(),
         &data,
         FeatureMask::BOTH,
         data.test_samples(),
@@ -412,8 +421,7 @@ fn parse_theta(args: &Args) -> Result<Option<f32>, String> {
 }
 
 fn cmd_attack(args: &Args) -> Result<(), String> {
-    let data = build_data(args)?;
-    let mut model = load_model(args, &data)?;
+    let (data, mut model) = load_model(args)?;
     let kind = match args.get_str("attack") {
         None => AttackKind::RandomSearch,
         Some(s) => AttackKind::parse(s)
@@ -778,8 +786,7 @@ fn parse_hhmm(s: &str) -> Result<usize, String> {
 }
 
 fn cmd_predict(args: &Args) -> Result<(), String> {
-    let data = build_data(args)?;
-    let mut model = load_model(args, &data)?;
+    let (data, model) = load_model(args)?;
     let day = args
         .get_usize("day")?
         .ok_or_else(|| "--day N is required".to_string())?;
@@ -796,7 +803,7 @@ fn cmd_predict(args: &Args) -> Result<(), String> {
     }
     let start = day * INTERVALS_PER_DAY + from;
     let end = day * INTERVALS_PER_DAY + to;
-    let trace = predict_trace(model.as_mut(), &data, FeatureMask::BOTH, start..end);
+    let trace = predict_trace(model.as_ref(), &data, FeatureMask::BOTH, start..end);
     let h = data.corridor().target_road();
     println!("time   predicted  real");
     for (t, pred) in trace {
@@ -811,20 +818,37 @@ fn cmd_predict(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// Validates a serve sizing knob. Zero is rejected with a named
-/// two-line error — the flag and value on the first line, what the knob
-/// controls (and why zero cannot work) on the second — so
-/// `serve --shards 0` fails at the CLI instead of asserting inside
-/// `Server::start`.
-fn positive_serve_knob(flag: &str, why: &str, n: usize) -> Result<usize, String> {
-    if n == 0 {
-        return Err(format!("--{flag} must be at least 1 (got 0)\n{why}"));
-    }
-    Ok(n)
-}
+/// Every option `serve` reads, the global ones included.
+const SERVE_OPTIONS: &[&str] = &[
+    "model", "addr", "workers", "watch", "poll-ms", "days", "seed", "preset", "quant", "threads",
+    "trace",
+];
 
 fn cmd_serve(args: &Args) -> Result<(), String> {
-    let data = std::sync::Arc::new(build_data(args)?);
+    // An option this command does not read (a typo, a knob it no longer
+    // has) must fail here, not be ignored; every option is checked before
+    // the corridor is simulated or a port bound.
+    args.expect_only(SERVE_OPTIONS)?;
+    let mut cfg = apots_serve::ServeConfig {
+        addr: args.get_str("addr").unwrap_or("127.0.0.1:7077").to_string(),
+        preset: parse_preset(args)?,
+        ..apots_serve::ServeConfig::default()
+    };
+    if let Some(n) = args.get_usize("workers")? {
+        if n == 0 {
+            return Err("--workers must be at least 1 (got 0)\n\
+                 connection workers speak HTTP; with zero of them every accepted \
+                 connection would hang unanswered"
+                .into());
+        }
+        cfg.workers = n;
+    }
+    if let Some(s) = args.get_str("quant") {
+        cfg.quant = apots::InferenceMode::parse(s).map_err(|e| format!("--quant: {e}"))?;
+    }
+    if let Some(ms) = args.get_usize("poll-ms")? {
+        cfg.poll_interval = std::time::Duration::from_millis(ms as u64);
+    }
     // The boot checkpoint comes from --model (the `train --out` file);
     // --watch DIR points at a trainer's --checkpoint-dir rotation, which
     // the server then hot-follows.
@@ -833,45 +857,7 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
         .ok_or_else(|| "--model FILE is required".to_string())?;
     let json = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     let initial = Checkpoint::from_json(&json).map_err(|e| format!("bad checkpoint: {e}"))?;
-
-    let mut cfg = apots_serve::ServeConfig {
-        addr: args.get_str("addr").unwrap_or("127.0.0.1:7077").to_string(),
-        preset: match args.get_str("preset").unwrap_or("fast") {
-            "paper" => HyperPreset::Paper,
-            _ => HyperPreset::Fast,
-        },
-        ..apots_serve::ServeConfig::default()
-    };
-    if let Some(n) = args.get_usize("workers")? {
-        cfg.workers = positive_serve_knob(
-            "workers",
-            "connection workers speak HTTP; with zero of them every accepted \
-             connection would hang unanswered",
-            n,
-        )?;
-    }
-    if let Some(n) = args.get_usize("shards")? {
-        cfg.shards = positive_serve_knob(
-            "shards",
-            "each inference shard owns a model replica; with zero shards no \
-             /predict request could ever be routed",
-            n,
-        )?;
-    }
-    if let Some(n) = args.get_usize("batch-max")? {
-        cfg.batch_max = positive_serve_knob(
-            "batch-max",
-            "shards drain up to batch-max requests per forward pass; a zero \
-             cap would drain nothing and spin",
-            n,
-        )?;
-    }
-    if let Some(s) = args.get_str("quant") {
-        cfg.quant = apots::InferenceMode::parse(s).map_err(|e| format!("--quant: {e}"))?;
-    }
-    if let Some(ms) = args.get_usize("poll-ms")? {
-        cfg.poll_interval = std::time::Duration::from_millis(ms as u64);
-    }
+    let data = std::sync::Arc::new(build_data(args)?);
     let store = match args.get_str("watch") {
         Some(dir) => Some(
             apots::persist::CheckpointStore::open(dir)
@@ -902,7 +888,7 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
 
 #[cfg(test)]
 mod tests {
-    use super::{parse_hhmm, parse_timing_entry, positive_serve_knob, run};
+    use super::{parse_hhmm, parse_timing_entry, run};
 
     fn strs(items: &[&str]) -> Vec<String> {
         items.iter().map(ToString::to_string).collect()
@@ -989,20 +975,61 @@ mod tests {
 
     #[test]
     fn serve_knobs_reject_zero_with_named_two_line_errors() {
-        for flag in ["workers", "shards", "batch-max"] {
-            let err = positive_serve_knob(flag, "why zero cannot work", 0).unwrap_err();
+        let err = run(&strs(&["serve", "--model", "m.json", "--workers", "0"])).unwrap_err();
+        assert!(
+            err.starts_with("--workers must be at least 1 (got 0)"),
+            "{err}"
+        );
+        assert_eq!(err.lines().count(), 2, "{err}");
+    }
+
+    /// A positive worker count passes validation: the command goes on
+    /// to read the checkpoint.
+    #[test]
+    fn serve_knobs_pass_positive_values_through() {
+        let err = run(&strs(&[
+            "serve",
+            "--model",
+            "/nonexistent/m.json",
+            "--workers",
+            "3",
+        ]))
+        .unwrap_err();
+        assert!(err.starts_with("cannot read /nonexistent/m.json"), "{err}");
+    }
+
+    /// Options `serve` does not read (the shard and batching knobs it
+    /// once had, a typo) are refused by name, with the accepted list,
+    /// before any corridor is simulated or port bound.
+    #[test]
+    fn serve_refuses_options_it_does_not_read() {
+        for (flag, value) in [("shards", "2"), ("batch-max", "8")] {
+            let argv = strs(&["serve", "--model", "m.json", &format!("--{flag}"), value]);
+            let err = run(&argv).unwrap_err();
             assert!(
-                err.starts_with(&format!("--{flag} must be at least 1 (got 0)")),
+                err.starts_with(&format!("unknown option --{flag} (accepted: --model, ")),
                 "{err}"
             );
-            assert_eq!(err.lines().count(), 2, "{err}");
+            assert!(
+                err.contains("--workers") && err.contains("--quant"),
+                "{err}"
+            );
         }
     }
 
     #[test]
-    fn serve_knobs_pass_positive_values_through() {
-        assert_eq!(positive_serve_knob("workers", "w", 1).unwrap(), 1);
-        assert_eq!(positive_serve_knob("shards", "w", 16).unwrap(), 16);
+    fn preset_is_parsed_strictly_everywhere() {
+        for argv in [
+            ["train", "--out", "o.json"],
+            ["eval", "--model", "m.json"],
+            ["serve", "--model", "m.json"],
+        ] {
+            let err = run(&strs(&[&argv[..], &["--preset", "Paper"]].concat())).unwrap_err();
+            assert_eq!(
+                err, "--preset \"Paper\": expected fast or paper",
+                "{argv:?}"
+            );
+        }
     }
 
     #[test]

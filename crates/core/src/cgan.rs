@@ -16,7 +16,7 @@
 use apots_nn::layer::Layer;
 use apots_nn::loss::bce_with_logits;
 use apots_nn::optim::{clip_global_norm, Adam, Optimizer};
-use apots_nn::{Dense, Relu, Sequential, Sigmoid};
+use apots_nn::{Dense, InferenceMode, Relu, Sequential, Sigmoid};
 use apots_tensor::rng::seeded;
 use apots_tensor::Tensor;
 use apots_traffic::{FeatureMask, SampleFeatures, TrafficDataset};
@@ -70,10 +70,16 @@ impl CGan {
         }
     }
 
-    /// Generates sequences for a conditioning batch using the given noise.
+    /// Generates sequences for a conditioning batch using the given noise:
+    /// the training forward when `train` is set, else the `Exact`
+    /// inference lane.
     fn generate(&mut self, z: &Tensor, cond: &Tensor, train: bool) -> Tensor {
         let x = Tensor::concat_cols(&[z, cond]);
-        self.generator.forward(&x, train)
+        if train {
+            self.generator.forward(&x)
+        } else {
+            self.generator.infer(&x, InferenceMode::Exact)
+        }
     }
 
     /// Adversarial training on the dataset's training windows.

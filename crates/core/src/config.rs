@@ -61,6 +61,19 @@ pub struct PredictorHyper {
 }
 
 impl HyperPreset {
+    /// Parses the CLI / `APOTS_PRESET` spelling (`fast` | `paper`).
+    ///
+    /// # Errors
+    /// Returns `"<value>": expected fast or paper` (the value
+    /// debug-quoted) for any other spelling, `Paper` included.
+    pub fn parse(s: &str) -> Result<Self, String> {
+        match s {
+            "fast" => Ok(Self::Fast),
+            "paper" => Ok(Self::Paper),
+            other => Err(format!("{other:?}: expected fast or paper")),
+        }
+    }
+
     /// Resolves the preset into concrete widths.
     pub fn resolve(&self) -> PredictorHyper {
         match self {
@@ -261,6 +274,18 @@ mod tests {
         let f = HyperPreset::Fast.resolve();
         assert!(f.lstm_hidden[0] < p.lstm_hidden[0]);
         assert!(f.conv_filters[0] < p.conv_filters[0]);
+    }
+
+    #[test]
+    fn preset_parses_its_two_spellings_only() {
+        assert_eq!(HyperPreset::parse("fast"), Ok(HyperPreset::Fast));
+        assert_eq!(HyperPreset::parse("paper"), Ok(HyperPreset::Paper));
+        for bad in ["Paper", "FAST", "", "papers"] {
+            assert_eq!(
+                HyperPreset::parse(bad),
+                Err(format!("{bad:?}: expected fast or paper"))
+            );
+        }
     }
 
     #[test]

@@ -24,6 +24,7 @@ use crate::eval::{summarize, EvalResult};
 use crate::predictor::{build_predictor, Predictor};
 use crate::runtime::TrainOptions;
 use crate::trainer::train_with_options;
+use crate::InferenceMode;
 
 /// Evaluation batch size (forward-only; mirrors `eval::EVAL_BATCH`).
 const EVAL_BATCH: usize = 256;
@@ -70,7 +71,7 @@ impl Default for DegradeConfig {
 /// [`crate::eval::evaluate`] through a sensor outage: the predictor sees
 /// imputed input windows while targets stay ground truth.
 pub fn evaluate_with_outage(
-    predictor: &mut dyn Predictor,
+    predictor: &dyn Predictor,
     data: &TrafficDataset,
     mask: FeatureMask,
     samples: &[usize],
@@ -87,7 +88,7 @@ pub fn evaluate_with_outage(
 
     for chunk in samples.chunks(EVAL_BATCH) {
         let (input, _) = encode_inputs_with_outage(predictor.kind(), data, chunk, mask, view);
-        let out = predictor.forward(&input, false);
+        let out = predictor.forward_infer(&input, InferenceMode::Exact);
         for (i, &t) in chunk.iter().enumerate() {
             let tau = data.target_time(t);
             predictions.push(norm.denormalize(out.at2(i, 0)));

@@ -9,7 +9,7 @@
 //! contribution) backs the conditioning ablation.
 
 use apots_nn::layer::{Layer, Param};
-use apots_nn::{Dense, LeakyRelu, Sequential};
+use apots_nn::{Dense, InferenceMode, LeakyRelu, Sequential};
 use apots_tensor::rng::seeded;
 use apots_tensor::Tensor;
 
@@ -56,7 +56,9 @@ impl Discriminator {
         }
     }
 
-    /// Scores sequences: returns logits `[batch, 1]`.
+    /// Scores sequences: returns logits `[batch, 1]`. `train` selects the
+    /// training forward, which keeps what [`Discriminator::backward`]
+    /// needs; otherwise the `Exact` inference lane keeps nothing.
     ///
     /// `seq` is `[batch, α]`, `cond` is `[batch, cond_width]`.
     pub fn forward(&mut self, seq: &Tensor, cond: &Tensor, train: bool) -> Tensor {
@@ -73,7 +75,11 @@ impl Discriminator {
             let zeros = Tensor::zeros(cond.shape());
             Tensor::concat_cols(&[seq, &zeros])
         };
-        self.net.forward(&x, train)
+        if train {
+            self.net.forward(&x)
+        } else {
+            self.net.infer(&x, InferenceMode::Exact)
+        }
     }
 
     /// Backpropagates ∂loss/∂logits, storing parameter gradients and

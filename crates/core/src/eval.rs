@@ -9,6 +9,7 @@ use apots_traffic::{FeatureMask, TrafficDataset};
 
 use crate::encode::encode_inputs;
 use crate::predictor::Predictor;
+use crate::InferenceMode;
 
 /// Evaluation batch size (forward-only, so large is fine).
 const EVAL_BATCH: usize = 256;
@@ -48,7 +49,7 @@ impl EvalResult {
 /// Runs the predictor over `samples` (base times) and computes all metrics
 /// in km/h.
 pub fn evaluate(
-    predictor: &mut dyn Predictor,
+    predictor: &dyn Predictor,
     data: &TrafficDataset,
     mask: FeatureMask,
     samples: &[usize],
@@ -61,7 +62,7 @@ pub fn evaluate(
 
     for chunk in samples.chunks(EVAL_BATCH) {
         let (input, _) = encode_inputs(predictor.kind(), data, chunk, mask);
-        let out = predictor.forward(&input, false);
+        let out = predictor.forward_infer(&input, InferenceMode::Exact);
         for (i, &t) in chunk.iter().enumerate() {
             let tau = data.target_time(t);
             predictions.push(norm.denormalize(out.at2(i, 0)));
@@ -105,7 +106,7 @@ pub fn summarize(predictions: Vec<f32>, observations: Vec<f32>, previous: Vec<f3
 /// target interval `τ` in the range (where a full input window exists),
 /// returns `(τ, prediction)`.
 pub fn predict_trace(
-    predictor: &mut dyn Predictor,
+    predictor: &dyn Predictor,
     data: &TrafficDataset,
     mask: FeatureMask,
     range: std::ops::Range<usize>,
@@ -124,7 +125,7 @@ pub fn predict_trace(
     let mut out = Vec::with_capacity(bases.len());
     for chunk in bases.chunks(EVAL_BATCH) {
         let (input, _) = encode_inputs(predictor.kind(), data, chunk, mask);
-        let pred = predictor.forward(&input, false);
+        let pred = predictor.forward_infer(&input, InferenceMode::Exact);
         for (i, &t) in chunk.iter().enumerate() {
             out.push((t + beta, norm.denormalize(pred.at2(i, 0))));
         }

@@ -16,12 +16,29 @@ use crate::config::{HyperPreset, PredictorKind};
 use crate::encode::{PredictorInput, IMAGE_CHANNELS, SCALAR_CHANNELS};
 
 /// A trainable speed predictor `P`.
-pub trait Predictor {
+///
+/// Training goes through [`Predictor::forward_train`] and
+/// [`Predictor::backward`] on an exclusively owned model. Inference goes
+/// through [`Predictor::forward_infer`], which takes `&self` and keeps
+/// nothing, so one prepared model can be shared (`Arc<dyn Predictor>`)
+/// and queried from many threads at once.
+pub trait Predictor: Send + Sync {
     /// Which architecture this is.
     fn kind(&self) -> PredictorKind;
 
-    /// Predicts `[batch, 1]` normalized speeds.
-    fn forward(&mut self, input: &PredictorInput, train: bool) -> Tensor;
+    /// Predicts `[batch, 1]` normalized speeds: the training forward when
+    /// `train` is set, else the `Exact` inference lane.
+    fn forward(&mut self, input: &PredictorInput, train: bool) -> Tensor {
+        if train {
+            self.forward_train(input)
+        } else {
+            self.forward_infer(input, InferenceMode::Exact)
+        }
+    }
+
+    /// Training forward: predicts `[batch, 1]` normalized speeds and keeps
+    /// what [`Predictor::backward`] needs.
+    fn forward_train(&mut self, input: &PredictorInput) -> Tensor;
 
     /// Backpropagates ∂loss/∂output (`[batch, 1]`), storing parameter
     /// gradients.
@@ -35,17 +52,15 @@ pub trait Predictor {
         self.params_mut().iter().map(|p| p.value.len()).sum()
     }
 
-    /// Pre-builds whatever `mode` needs (e.g. int8 weight quantization).
-    /// Training never calls this — see [`Layer::prepare`].
-    fn prepare(&mut self, _mode: InferenceMode) {}
+    /// Pre-builds whatever `mode` needs (the int8 weight copies) before
+    /// the model is shared. Training never calls this — see
+    /// [`Layer::prepare`].
+    fn prepare(&mut self, mode: InferenceMode);
 
-    /// Inference-only forward dispatched by [`InferenceMode`]. The
-    /// default (`Exact`) is `forward(input, false)`, bit-identical to
-    /// training-time evaluation; the `Int8` lane is tolerance-gated
-    /// (DESIGN.md §15).
-    fn forward_infer(&mut self, input: &PredictorInput, _mode: InferenceMode) -> Tensor {
-        self.forward(input, false)
-    }
+    /// Predicts `[batch, 1]` normalized speeds on `mode`'s lane through
+    /// each layer's [`Layer::infer`]. `Exact` is bit-identical to the
+    /// training forward; `Int8` is tolerance-gated (DESIGN.md §15).
+    fn forward_infer(&self, input: &PredictorInput, mode: InferenceMode) -> Tensor;
 }
 
 /// Builds a predictor of the given kind, sized for `data`'s dimensions.
@@ -115,6 +130,13 @@ impl FcPredictor {
         net.add(Box::new(Dense::new(prev, 1, rng)));
         Self { net }
     }
+
+    fn flat(input: &PredictorInput) -> &Tensor {
+        match input {
+            PredictorInput::Flat(x) => x,
+            _ => panic!("FcPredictor expects flat input"),
+        }
+    }
 }
 
 impl Predictor for FcPredictor {
@@ -122,11 +144,8 @@ impl Predictor for FcPredictor {
         PredictorKind::Fc
     }
 
-    fn forward(&mut self, input: &PredictorInput, train: bool) -> Tensor {
-        match input {
-            PredictorInput::Flat(x) => self.net.forward(x, train),
-            _ => panic!("FcPredictor expects flat input"),
-        }
+    fn forward_train(&mut self, input: &PredictorInput) -> Tensor {
+        self.net.forward(Self::flat(input))
     }
 
     fn backward(&mut self, grad: &Tensor) {
@@ -141,11 +160,17 @@ impl Predictor for FcPredictor {
         self.net.prepare(mode);
     }
 
-    fn forward_infer(&mut self, input: &PredictorInput, mode: InferenceMode) -> Tensor {
-        match input {
-            PredictorInput::Flat(x) => self.net.forward_mode(x, mode),
-            _ => panic!("FcPredictor expects flat input"),
-        }
+    fn forward_infer(&self, input: &PredictorInput, mode: InferenceMode) -> Tensor {
+        self.net.infer(Self::flat(input), mode)
+    }
+}
+
+/// The speed image and day-type flags of an image input; any other input
+/// is a bug in `who`'s caller.
+fn image_input<'a>(input: &'a PredictorInput, who: &str) -> (&'a Tensor, &'a Tensor) {
+    match input {
+        PredictorInput::Image { image, day_type } => (image, day_type),
+        _ => panic!("{who} expects image input"),
     }
 }
 
@@ -190,6 +215,13 @@ impl CnnPredictor {
             conv_out_shape: [filters[2], n_roads, alpha],
         }
     }
+
+    /// The flattened feature maps next to the day-type flags.
+    fn head_input(fmap: &Tensor, day_type: &Tensor) -> Tensor {
+        let b = fmap.shape()[0];
+        let flat = fmap.reshape(&[b, fmap.len() / b]);
+        Tensor::concat_cols(&[&flat, day_type])
+    }
 }
 
 impl Predictor for CnnPredictor {
@@ -197,16 +229,10 @@ impl Predictor for CnnPredictor {
         PredictorKind::Cnn
     }
 
-    fn forward(&mut self, input: &PredictorInput, train: bool) -> Tensor {
-        let (image, day_type) = match input {
-            PredictorInput::Image { image, day_type } => (image, day_type),
-            _ => panic!("CnnPredictor expects image input"),
-        };
-        let b = image.shape()[0];
-        let fmap = self.conv.forward(image, train);
-        let flat = fmap.reshape(&[b, fmap.len() / b]);
-        let x = Tensor::concat_cols(&[&flat, day_type]);
-        self.head.forward(&x, train)
+    fn forward_train(&mut self, input: &PredictorInput) -> Tensor {
+        let (image, day_type) = image_input(input, "CnnPredictor");
+        let x = Self::head_input(&self.conv.forward(image), day_type);
+        self.head.forward(&x)
     }
 
     fn backward(&mut self, grad: &Tensor) {
@@ -229,16 +255,10 @@ impl Predictor for CnnPredictor {
         self.head.prepare(mode);
     }
 
-    fn forward_infer(&mut self, input: &PredictorInput, mode: InferenceMode) -> Tensor {
-        let (image, day_type) = match input {
-            PredictorInput::Image { image, day_type } => (image, day_type),
-            _ => panic!("CnnPredictor expects image input"),
-        };
-        let b = image.shape()[0];
-        let fmap = self.conv.forward_mode(image, mode);
-        let flat = fmap.reshape(&[b, fmap.len() / b]);
-        let x = Tensor::concat_cols(&[&flat, day_type]);
-        self.head.forward_mode(&x, mode)
+    fn forward_infer(&self, input: &PredictorInput, mode: InferenceMode) -> Tensor {
+        let (image, day_type) = image_input(input, "CnnPredictor");
+        let x = Self::head_input(&self.conv.infer(image, mode), day_type);
+        self.head.infer(&x, mode)
     }
 }
 
@@ -270,6 +290,13 @@ impl LstmPredictor {
             hidden: hidden[1],
         }
     }
+
+    fn seq(input: &PredictorInput) -> (&Tensor, &Tensor) {
+        match input {
+            PredictorInput::Seq { seq, day_type } => (seq, day_type),
+            _ => panic!("LstmPredictor expects sequence input"),
+        }
+    }
 }
 
 impl Predictor for LstmPredictor {
@@ -277,14 +304,10 @@ impl Predictor for LstmPredictor {
         PredictorKind::Lstm
     }
 
-    fn forward(&mut self, input: &PredictorInput, train: bool) -> Tensor {
-        let (seq, day_type) = match input {
-            PredictorInput::Seq { seq, day_type } => (seq, day_type),
-            _ => panic!("LstmPredictor expects sequence input"),
-        };
-        let h = self.lstm.forward(seq, train);
-        let x = Tensor::concat_cols(&[&h, day_type]);
-        self.head.forward(&x, train)
+    fn forward_train(&mut self, input: &PredictorInput) -> Tensor {
+        let (seq, day_type) = Self::seq(input);
+        let x = Tensor::concat_cols(&[&self.lstm.forward(seq), day_type]);
+        self.head.forward(&x)
     }
 
     fn backward(&mut self, grad: &Tensor) {
@@ -304,14 +327,10 @@ impl Predictor for LstmPredictor {
         Layer::prepare(&mut self.head, mode);
     }
 
-    fn forward_infer(&mut self, input: &PredictorInput, mode: InferenceMode) -> Tensor {
-        let (seq, day_type) = match input {
-            PredictorInput::Seq { seq, day_type } => (seq, day_type),
-            _ => panic!("LstmPredictor expects sequence input"),
-        };
-        let h = self.lstm.forward_mode(seq, mode);
-        let x = Tensor::concat_cols(&[&h, day_type]);
-        self.head.forward_mode(&x, mode)
+    fn forward_infer(&self, input: &PredictorInput, mode: InferenceMode) -> Tensor {
+        let (seq, day_type) = Self::seq(input);
+        let x = Tensor::concat_cols(&[&self.lstm.infer(seq, mode), day_type]);
+        self.head.infer(&x, mode)
     }
 }
 
@@ -406,16 +425,11 @@ impl Predictor for HybridPredictor {
         PredictorKind::Hybrid
     }
 
-    fn forward(&mut self, input: &PredictorInput, train: bool) -> Tensor {
-        let (image, day_type) = match input {
-            PredictorInput::Image { image, day_type } => (image, day_type),
-            _ => panic!("HybridPredictor expects image input"),
-        };
-        let fmap = self.conv.forward(image, train);
-        let seq = Self::map_to_seq(&fmap, self.conv_out_shape);
-        let h = self.lstm.forward(&seq, train);
-        let x = Tensor::concat_cols(&[&h, day_type]);
-        self.head.forward(&x, train)
+    fn forward_train(&mut self, input: &PredictorInput) -> Tensor {
+        let (image, day_type) = image_input(input, "HybridPredictor");
+        let seq = Self::map_to_seq(&self.conv.forward(image), self.conv_out_shape);
+        let x = Tensor::concat_cols(&[&self.lstm.forward(&seq), day_type]);
+        self.head.forward(&x)
     }
 
     fn backward(&mut self, grad: &Tensor) {
@@ -439,16 +453,11 @@ impl Predictor for HybridPredictor {
         Layer::prepare(&mut self.head, mode);
     }
 
-    fn forward_infer(&mut self, input: &PredictorInput, mode: InferenceMode) -> Tensor {
-        let (image, day_type) = match input {
-            PredictorInput::Image { image, day_type } => (image, day_type),
-            _ => panic!("HybridPredictor expects image input"),
-        };
-        let fmap = self.conv.forward_mode(image, mode);
-        let seq = Self::map_to_seq(&fmap, self.conv_out_shape);
-        let h = self.lstm.forward_mode(&seq, mode);
-        let x = Tensor::concat_cols(&[&h, day_type]);
-        self.head.forward_mode(&x, mode)
+    fn forward_infer(&self, input: &PredictorInput, mode: InferenceMode) -> Tensor {
+        let (image, day_type) = image_input(input, "HybridPredictor");
+        let seq = Self::map_to_seq(&self.conv.infer(image, mode), self.conv_out_shape);
+        let x = Tensor::concat_cols(&[&self.lstm.infer(&seq, mode), day_type]);
+        self.head.infer(&x, mode)
     }
 }
 

@@ -63,6 +63,7 @@ use crate::predictor::Predictor;
 use crate::runtime::{
     config_fingerprint, BatchCtx, KillPoint, TrainCheckpoint, TrainError, TrainOptions,
 };
+use crate::InferenceMode;
 
 /// Per-epoch training statistics.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -744,7 +745,7 @@ fn rdat_step(
     let (clean_in, targets) = encode_features(predictor.kind(), &clean);
     let clean_err = {
         let _hp = hotpath::guard();
-        let out = predictor.forward(&clean_in, false);
+        let out = predictor.forward_infer(&clean_in, InferenceMode::Exact);
         per_sample_sq_err(&out, &targets)
     };
 
@@ -770,7 +771,7 @@ fn rdat_step(
         let (input, _) = encode_features(predictor.kind(), &perturbed);
         let err = {
             let _hp = hotpath::guard();
-            let out = predictor.forward(&input, false);
+            let out = predictor.forward_infer(&input, InferenceMode::Exact);
             per_sample_sq_err(&out, &targets)
         };
         for (i, &e) in err.iter().enumerate() {

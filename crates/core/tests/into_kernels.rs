@@ -245,7 +245,7 @@ fn rnn_round<L: Layer>(
 ) -> (Tensor, Tensor, Vec<u32>) {
     let mut rng = seeded(0x5EED_F00D);
     let mut layer = make(&mut rng);
-    let out = layer.forward(input, true);
+    let out = layer.forward(input);
     let mut grng = seeded(grad_seed);
     let grad = rand_tensor(&mut grng, out.shape());
     let dx = layer.backward(&grad);

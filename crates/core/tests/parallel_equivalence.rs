@@ -22,7 +22,7 @@ use apots_nn::conv::Conv2d;
 use apots_nn::layer::Layer;
 use apots_nn::Lstm;
 use apots_tensor::rng::seeded;
-use apots_tensor::{reference, Tensor};
+use apots_tensor::{reference, InferenceMode, Tensor};
 use apots_traffic::calendar::Calendar;
 use apots_traffic::{Corridor, DataConfig, FeatureMask, SimConfig, TrafficDataset};
 
@@ -248,7 +248,7 @@ fn lstm_row_split_bit_identical_for_any_thread_count() {
                     };
                     let g = Tensor::randn(g_shape, 0.0, 1.0, &mut rng);
                     apots_obs::enable(None);
-                    let y = lstm.forward(&x, true);
+                    let y = lstm.forward(&x);
                     let dx = lstm.backward(&g);
                     let counters = det_counters();
                     apots_obs::disable();
@@ -307,11 +307,11 @@ fn conv2d_forward_backward_bit_identical_for_any_thread_count() {
                     let mut conv = Conv2d::new(cin, cout, 3, 3, &mut rng);
                     let x = Tensor::randn(&[b, cin, h, w], 0.0, 1.0, &mut rng);
                     let g = Tensor::randn(&[b, cout, h, w], 0.0, 1.0, &mut rng);
-                    let y = conv.forward(&x, true);
+                    let y = conv.forward(&x);
                     let dx = conv.backward(&g);
                     let grads: Vec<Vec<u32>> =
                         conv.params_mut().iter().map(|p| bits(p.grad)).collect();
-                    let y_eval = conv.forward(&x, false);
+                    let y_eval = conv.infer(&x, InferenceMode::Exact);
                     (bits(&y), bits(&dx), grads, bits(&y_eval))
                 })
             };

@@ -47,8 +47,8 @@ pub struct Env {
     pub checkpoint_dir: Option<PathBuf>,
     /// Checkpoint cadence in epochs (`APOTS_SAVE_EVERY`, default 1).
     pub save_every: usize,
-    /// Resume interrupted runs from their checkpoints
-    /// (`APOTS_RESUME` = `1`).
+    /// Resume interrupted runs from their checkpoints (`APOTS_RESUME` =
+    /// `1` | `true`; `0` | `false` or unset = start fresh).
     pub resume: bool,
 }
 
@@ -82,9 +82,10 @@ impl Env {
     /// Parses the settings from `lookup`, which reads one variable by
     /// name. An unset or empty variable keeps its default; a set value
     /// that does not parse — `APOTS_PRESET` other than `fast` / `paper`,
-    /// or a non-integer `APOTS_SEED`, `APOTS_EPOCHS`, `APOTS_MAX_SAMPLES`
-    /// or `APOTS_SAVE_EVERY` — is an error naming the variable, the value
-    /// and the accepted form.
+    /// `APOTS_RESUME` other than `0` / `1` / `false` / `true`, or a
+    /// non-integer `APOTS_SEED`, `APOTS_EPOCHS`, `APOTS_MAX_SAMPLES` or
+    /// `APOTS_SAVE_EVERY` — is an error naming the variable, the value and
+    /// the accepted form.
     fn from_vars(lookup: impl Fn(&str) -> Option<String>) -> Result<Self, String> {
         let var = |name: &str| lookup(name).filter(|v| !v.is_empty());
         fn integer<T: std::str::FromStr>(name: &str, value: &str) -> Result<T, String> {
@@ -92,13 +93,9 @@ impl Env {
                 .parse()
                 .map_err(|_| format!("{name}={value:?}: expected a non-negative integer"))
         }
-        let preset = match var("APOTS_PRESET").as_deref() {
-            None | Some("fast") => HyperPreset::Fast,
-            Some("paper") => HyperPreset::Paper,
-            Some(other) => {
-                return Err(format!("APOTS_PRESET={other:?}: expected fast or paper"));
-            }
-        };
+        let preset = var("APOTS_PRESET").map_or(Ok(HyperPreset::Fast), |v| {
+            HyperPreset::parse(&v).map_err(|e| format!("APOTS_PRESET={e}"))
+        })?;
         let seed = var("APOTS_SEED").map_or(Ok(7), |v| integer("APOTS_SEED", &v))?;
         let epochs = var("APOTS_EPOCHS")
             .map(|v| integer("APOTS_EPOCHS", &v))
@@ -109,7 +106,15 @@ impl Env {
         let checkpoint_dir = var("APOTS_CHECKPOINT_DIR").map(PathBuf::from);
         let save_every =
             var("APOTS_SAVE_EVERY").map_or(Ok(1), |v| integer("APOTS_SAVE_EVERY", &v))?;
-        let resume = matches!(var("APOTS_RESUME").as_deref(), Some("1") | Some("true"));
+        let resume = match var("APOTS_RESUME").as_deref() {
+            None | Some("0") | Some("false") => false,
+            Some("1") | Some("true") => true,
+            Some(other) => {
+                return Err(format!(
+                    "APOTS_RESUME={other:?}: expected 0, 1, false or true"
+                ));
+            }
+        };
         Ok(Self {
             preset,
             seed,
@@ -409,6 +414,10 @@ mod tests {
             (11, Some(3), Some(64))
         );
         assert_eq!(env.save_every, 2);
+
+        for (value, resume) in [("0", false), ("false", false), ("1", true), ("true", true)] {
+            assert_eq!(env_with(&[("APOTS_RESUME", value)]).unwrap().resume, resume);
+        }
     }
 
     #[test]
@@ -419,6 +428,8 @@ mod tests {
             ("APOTS_EPOCHS", "ten", "expected a non-negative integer"),
             ("APOTS_MAX_SAMPLES", "-1", "expected a non-negative integer"),
             ("APOTS_SAVE_EVERY", "1.5", "expected a non-negative integer"),
+            ("APOTS_RESUME", "yes", "expected 0, 1, false or true"),
+            ("APOTS_RESUME", "TRUE", "expected 0, 1, false or true"),
         ] {
             let err = env_with(&[(name, value)]).unwrap_err();
             assert_eq!(err, format!("{name}={value:?}: {form}"));

@@ -1,10 +1,11 @@
-//! Element-wise activation layers: ReLU, leaky ReLU, sigmoid, tanh.
+//! Element-wise activation layers: ReLU, leaky ReLU, sigmoid.
 //!
-//! Each activation caches what its derivative needs (the input for the
-//! rectifiers, the *output* for sigmoid/tanh whose derivatives are cheapest
-//! in terms of the output).
+//! Each training forward caches what its derivative needs (the input for
+//! the rectifiers, the *output* for sigmoid, whose derivative is cheapest
+//! in terms of the output). Inference applies the same function on
+//! either lane.
 
-use apots_tensor::Tensor;
+use apots_tensor::{InferenceMode, Tensor};
 
 use crate::layer::Layer;
 
@@ -22,9 +23,9 @@ impl Relu {
 }
 
 impl Layer for Relu {
-    fn forward(&mut self, input: &Tensor, _train: bool) -> Tensor {
+    fn forward(&mut self, input: &Tensor) -> Tensor {
         self.cached_input = Some(input.clone());
-        input.par_map(|v| v.max(0.0))
+        self.infer(input, InferenceMode::Exact)
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
@@ -33,6 +34,10 @@ impl Layer for Relu {
             .as_ref()
             .expect("Relu::backward called before forward");
         x.par_zip_with(grad_out, |xi, g| if xi > 0.0 { g } else { 0.0 })
+    }
+
+    fn infer(&self, input: &Tensor, _mode: InferenceMode) -> Tensor {
+        input.par_map(|v| v.max(0.0))
     }
 }
 
@@ -60,10 +65,9 @@ impl LeakyRelu {
 }
 
 impl Layer for LeakyRelu {
-    fn forward(&mut self, input: &Tensor, _train: bool) -> Tensor {
+    fn forward(&mut self, input: &Tensor) -> Tensor {
         self.cached_input = Some(input.clone());
-        let s = self.slope;
-        input.par_map(|v| if v > 0.0 { v } else { s * v })
+        self.infer(input, InferenceMode::Exact)
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
@@ -73,6 +77,11 @@ impl Layer for LeakyRelu {
             .expect("LeakyRelu::backward called before forward");
         let s = self.slope;
         x.par_zip_with(grad_out, |xi, g| if xi > 0.0 { g } else { s * g })
+    }
+
+    fn infer(&self, input: &Tensor, _mode: InferenceMode) -> Tensor {
+        let s = self.slope;
+        input.par_map(|v| if v > 0.0 { v } else { s * v })
     }
 }
 
@@ -100,8 +109,8 @@ impl Sigmoid {
 }
 
 impl Layer for Sigmoid {
-    fn forward(&mut self, input: &Tensor, _train: bool) -> Tensor {
-        let out = input.par_map(sigmoid_scalar);
+    fn forward(&mut self, input: &Tensor) -> Tensor {
+        let out = self.infer(input, InferenceMode::Exact);
         self.cached_output = Some(out.clone());
         out
     }
@@ -113,34 +122,9 @@ impl Layer for Sigmoid {
             .expect("Sigmoid::backward called before forward");
         y.par_zip_with(grad_out, |yi, g| g * yi * (1.0 - yi))
     }
-}
 
-/// Hyperbolic tangent activation.
-#[derive(Default)]
-pub struct Tanh {
-    cached_output: Option<Tensor>,
-}
-
-impl Tanh {
-    /// Creates a tanh activation layer.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-impl Layer for Tanh {
-    fn forward(&mut self, input: &Tensor, _train: bool) -> Tensor {
-        let out = input.par_map(f32::tanh);
-        self.cached_output = Some(out.clone());
-        out
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let y = self
-            .cached_output
-            .as_ref()
-            .expect("Tanh::backward called before forward");
-        y.par_zip_with(grad_out, |yi, g| g * (1.0 - yi * yi))
+    fn infer(&self, input: &Tensor, _mode: InferenceMode) -> Tensor {
+        input.par_map(sigmoid_scalar)
     }
 }
 
@@ -152,7 +136,7 @@ mod tests {
     fn relu_forward_backward() {
         let mut relu = Relu::new();
         let x = Tensor::from_vec(vec![-1.0, 0.0, 2.0]);
-        let y = relu.forward(&x, true);
+        let y = relu.forward(&x);
         assert_eq!(y.data(), &[0.0, 0.0, 2.0]);
         let g = relu.backward(&Tensor::from_vec(vec![1.0, 1.0, 1.0]));
         assert_eq!(g.data(), &[0.0, 0.0, 1.0]);
@@ -162,7 +146,7 @@ mod tests {
     fn leaky_relu_forward_backward() {
         let mut lr = LeakyRelu::new(0.1);
         let x = Tensor::from_vec(vec![-2.0, 3.0]);
-        let y = lr.forward(&x, true);
+        let y = lr.forward(&x);
         assert!((y.data()[0] + 0.2).abs() < 1e-6);
         assert_eq!(y.data()[1], 3.0);
         let g = lr.backward(&Tensor::from_vec(vec![1.0, 1.0]));
@@ -173,7 +157,7 @@ mod tests {
     #[test]
     fn sigmoid_is_stable_at_extremes() {
         let mut s = Sigmoid::new();
-        let y = s.forward(&Tensor::from_vec(vec![-100.0, 0.0, 100.0]), true);
+        let y = s.forward(&Tensor::from_vec(vec![-100.0, 0.0, 100.0]));
         assert!(y.data()[0] >= 0.0 && y.data()[0] < 1e-6);
         assert!((y.data()[1] - 0.5).abs() < 1e-6);
         assert!(y.data()[2] <= 1.0 && y.data()[2] > 1.0 - 1e-6);
@@ -183,17 +167,9 @@ mod tests {
     #[test]
     fn sigmoid_derivative_peak() {
         let mut s = Sigmoid::new();
-        let _ = s.forward(&Tensor::from_vec(vec![0.0]), true);
+        let _ = s.forward(&Tensor::from_vec(vec![0.0]));
         let g = s.backward(&Tensor::from_vec(vec![1.0]));
         assert!((g.data()[0] - 0.25).abs() < 1e-6);
-    }
-
-    #[test]
-    fn tanh_derivative_at_zero() {
-        let mut t = Tanh::new();
-        let _ = t.forward(&Tensor::from_vec(vec![0.0]), true);
-        let g = t.backward(&Tensor::from_vec(vec![2.0]));
-        assert!((g.data()[0] - 2.0).abs() < 1e-6);
     }
 
     #[test]

@@ -5,12 +5,12 @@
 //! Table I of the paper) over the road×time speed image of Eq 6, so "same"
 //! padding with odd kernels and stride 1 is all we need.
 
-use apots_tensor::quant::{self, QTensor};
 use apots_tensor::rng::Rng;
 use apots_tensor::{workspace, InferenceMode, Tensor};
 
 use crate::init::he_uniform;
 use crate::layer::{Layer, Param};
+use crate::weight::Weight;
 
 /// A same-padding, stride-1 2-D convolution over `[batch, in_ch, h, w]`
 /// inputs producing `[batch, out_ch, h, w]` outputs.
@@ -19,15 +19,11 @@ pub struct Conv2d {
     out_ch: usize,
     kh: usize,
     kw: usize,
-    w: Tensor,  // [in_ch*kh*kw, out_ch]
+    w: Weight,  // [in_ch*kh*kw, out_ch]
     b: Tensor,  // [out_ch]
-    dw: Tensor, // [in_ch*kh*kw, out_ch]
     db: Tensor, // [out_ch]
     cached_cols: Option<Tensor>,
     cached_input_shape: Option<[usize; 4]>,
-    /// Int8-quantized weights, built by `prepare(Int8)` (or lazily on the
-    /// first int8 forward). Never consulted by `forward`.
-    qw: Option<QTensor>,
 }
 
 impl Conv2d {
@@ -48,13 +44,11 @@ impl Conv2d {
             out_ch,
             kh,
             kw,
-            w: he_uniform(&[fan_in, out_ch], fan_in, rng),
+            w: Weight::new(he_uniform(&[fan_in, out_ch], fan_in, rng)),
             b: Tensor::zeros(&[out_ch]),
-            dw: Tensor::zeros(&[fan_in, out_ch]),
             db: Tensor::zeros(&[out_ch]),
             cached_cols: None,
             cached_input_shape: None,
-            qw: None,
         }
     }
 
@@ -163,34 +157,23 @@ impl Conv2d {
         Tensor::new(input_shape, dx)
     }
 
-    /// True when no im2col patch matrix is currently held (used by tests
-    /// to assert the cache is released after `backward` and never built by
-    /// eval-mode forwards — it is the layer's largest allocation).
-    pub fn holds_cached_cols(&self) -> bool {
-        self.cached_cols.is_some()
-    }
-}
-
-impl Layer for Conv2d {
-    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
+    /// Checks a `[batch, in_ch, h, w]` input and returns its shape.
+    fn check_input(&self, input: &Tensor) -> [usize; 4] {
         assert_eq!(input.rank(), 4, "Conv2d expects [batch, ch, h, w] input");
-        let s = [
-            input.shape()[0],
-            input.shape()[1],
-            input.shape()[2],
-            input.shape()[3],
-        ];
+        let s = input.shape();
         assert_eq!(
             s[1], self.in_ch,
             "Conv2d: input has {} channels, layer expects {}",
             s[1], self.in_ch
         );
-        let (b, h, w) = (s[0], s[2], s[3]);
-        let cols = self.im2col(input);
-        let mut m = cols.matmul(&self.w); // [b*h*w, out_ch]
+        [s[0], s[1], s[2], s[3]]
+    }
+
+    /// Adds the bias to the patch product `m: [b*h*w, out_ch]` and
+    /// rearranges it to `[b, out_ch, h, w]`; each task owns one batch
+    /// image (a contiguous out_ch*h*w slab of the output).
+    fn to_image(&self, mut m: Tensor, [b, _, h, w]: [usize; 4]) -> Tensor {
         m.add_row_broadcast(&self.b);
-        // Rearrange [b*h*w, f] -> [b, f, h, w]; each task owns one batch
-        // image (a contiguous out_ch*h*w slab of the output).
         let f_ch = self.out_ch;
         let mut out = workspace::checkout(b * f_ch * h * w);
         let md = m.data();
@@ -204,17 +187,27 @@ impl Layer for Conv2d {
                 }
             }
         });
-        // The im2col patch matrix is the layer's largest allocation
-        // ([b*h*w, in_ch*kh*kw]); it only exists to be reused by the next
-        // backward pass, so eval-mode forwards must not retain it.
-        if train {
-            self.cached_cols = Some(cols);
-            self.cached_input_shape = Some(s);
-        } else {
-            self.cached_cols = None;
-            self.cached_input_shape = None;
-        }
         Tensor::new(&[b, f_ch, h, w], out)
+    }
+
+    /// True when an im2col patch matrix is currently held (used by tests
+    /// to assert the cache is released after `backward` — it is the
+    /// layer's largest allocation).
+    pub fn holds_cached_cols(&self) -> bool {
+        self.cached_cols.is_some()
+    }
+}
+
+impl Layer for Conv2d {
+    fn forward(&mut self, input: &Tensor) -> Tensor {
+        let s = self.check_input(input);
+        let cols = self.im2col(input);
+        let out = self.to_image(cols.matmul(self.w.value()), s);
+        // The im2col patch matrix is the layer's largest allocation
+        // ([b*h*w, in_ch*kh*kw]); it is kept only for the next backward.
+        self.cached_cols = Some(cols);
+        self.cached_input_shape = Some(s);
+        out
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
@@ -252,18 +245,20 @@ impl Layer for Conv2d {
         // `_into` accumulation into the persistent grad tensors: no
         // gradient allocation in steady state (bit-identical to the
         // allocating kernels; DESIGN.md §10).
-        cols.matmul_at_b_into(&dm, &mut self.dw);
+        cols.matmul_at_b_into(&dm, &mut self.w.grad);
         dm.sum_axis0_into(&mut self.db);
-        let dcols = dm.matmul_a_bt(&self.w);
+        let dcols = dm.matmul_a_bt(self.w.value());
         self.col2im(&dcols, &in_shape)
+    }
+
+    fn infer(&self, input: &Tensor, mode: InferenceMode) -> Tensor {
+        let s = self.check_input(input);
+        self.to_image(self.w.matmul(&self.im2col(input), mode), s)
     }
 
     fn params_mut(&mut self) -> Vec<Param<'_>> {
         vec![
-            Param {
-                value: &mut self.w,
-                grad: &mut self.dw,
-            },
+            self.w.param(),
             Param {
                 value: &mut self.b,
                 grad: &mut self.db,
@@ -272,45 +267,7 @@ impl Layer for Conv2d {
     }
 
     fn prepare(&mut self, mode: InferenceMode) {
-        if mode == InferenceMode::Int8 {
-            self.qw = Some(quant::quantize_weights(&self.w));
-        }
-    }
-
-    fn forward_mode(&mut self, input: &Tensor, mode: InferenceMode) -> Tensor {
-        if mode == InferenceMode::Exact {
-            return self.forward(input, false);
-        }
-        assert_eq!(input.rank(), 4, "Conv2d expects [batch, ch, h, w] input");
-        let s = input.shape();
-        assert_eq!(
-            s[1], self.in_ch,
-            "Conv2d: input has {} channels, layer expects {}",
-            s[1], self.in_ch
-        );
-        let (b, h, w) = (s[0], s[2], s[3]);
-        // Same im2col lowering as `forward`; only the patch-matrix product
-        // switches to int8. Nothing is cached (inference never backprops).
-        let cols = self.im2col(input);
-        if self.qw.is_none() {
-            self.prepare(InferenceMode::Int8);
-        }
-        let mut m = quant::qmatmul(&cols, self.qw.as_ref().unwrap());
-        m.add_row_broadcast(&self.b);
-        let f_ch = self.out_ch;
-        let mut out = workspace::checkout(b * f_ch * h * w);
-        let md = m.data();
-        apots_par::parallel_chunks_mut(&mut out, f_ch * h * w, |bi, slab| {
-            for y in 0..h {
-                for xw in 0..w {
-                    let row = ((bi * h + y) * w + xw) * f_ch;
-                    for f in 0..f_ch {
-                        slab[(f * h + y) * w + xw] = md[row + f];
-                    }
-                }
-            }
-        });
-        Tensor::new(&[b, f_ch, h, w], out)
+        self.w.prepare(mode);
     }
 }
 
@@ -323,9 +280,9 @@ mod tests {
     fn identity_1x1_kernel() {
         let mut rng = seeded(1);
         let mut conv = Conv2d::new(1, 1, 1, 1, &mut rng);
-        conv.w.data_mut()[0] = 1.0;
+        conv.w.value_mut().data_mut()[0] = 1.0;
         let x = Tensor::new(&[1, 1, 2, 3], vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
-        let y = conv.forward(&x, true);
+        let y = conv.forward(&x);
         assert_eq!(y.shape(), &[1, 1, 2, 3]);
         assert_eq!(y.data(), x.data());
     }
@@ -334,11 +291,11 @@ mod tests {
     fn averaging_3x3_kernel_on_constant_image() {
         let mut rng = seeded(2);
         let mut conv = Conv2d::new(1, 1, 3, 3, &mut rng);
-        for v in conv.w.data_mut() {
+        for v in conv.w.value_mut().data_mut() {
             *v = 1.0;
         }
         let x = Tensor::ones(&[1, 1, 3, 3]);
-        let y = conv.forward(&x, true);
+        let y = conv.forward(&x);
         // Centre sees 9 ones, edges 6, corners 4 (zero padding).
         assert_eq!(y.data()[4], 9.0);
         assert_eq!(y.data()[1], 6.0);
@@ -350,7 +307,7 @@ mod tests {
         let mut rng = seeded(3);
         let mut conv = Conv2d::new(3, 8, 3, 3, &mut rng);
         let x = Tensor::randn(&[2, 3, 5, 12], 0.0, 1.0, &mut rng);
-        let y = conv.forward(&x, true);
+        let y = conv.forward(&x);
         assert_eq!(y.shape(), &[2, 8, 5, 12]);
         let dx = conv.backward(&Tensor::ones(&[2, 8, 5, 12]));
         assert_eq!(dx.shape(), &[2, 3, 5, 12]);
@@ -360,51 +317,49 @@ mod tests {
     fn bias_is_added_per_filter() {
         let mut rng = seeded(4);
         let mut conv = Conv2d::new(1, 2, 1, 1, &mut rng);
-        conv.w.fill_zero();
+        conv.w.value_mut().fill_zero();
         conv.b.data_mut().copy_from_slice(&[1.5, -2.5]);
         let x = Tensor::zeros(&[1, 1, 2, 2]);
-        let y = conv.forward(&x, true);
+        let y = conv.forward(&x);
         assert!(y.data()[..4].iter().all(|&v| v == 1.5));
         assert!(y.data()[4..].iter().all(|&v| v == -2.5));
     }
 
     /// Regression: the im2col patch matrix must not be retained after
-    /// `backward` consumes it, and eval-mode forwards must never build up
-    /// a cache at all (it is the layer's largest allocation).
+    /// `backward` consumes it, and `infer` never builds one (it is the
+    /// layer's largest allocation).
     #[test]
     fn patch_cache_released_after_backward_and_absent_in_eval() {
         let mut rng = seeded(11);
         let mut conv = Conv2d::new(2, 4, 3, 3, &mut rng);
         let x = Tensor::randn(&[2, 2, 4, 5], 0.0, 1.0, &mut rng);
 
-        // Train-mode forward caches; backward takes the cache with it.
-        let _ = conv.forward(&x, true);
+        // Training forward caches; backward takes the cache with it.
+        let _ = conv.forward(&x);
         assert!(conv.holds_cached_cols(), "train forward should cache cols");
         let _ = conv.backward(&Tensor::ones(&[2, 4, 4, 5]));
         assert!(
             !conv.holds_cached_cols(),
             "backward must release the im2col cache"
         );
-
-        // Eval-mode forward never caches, and clears any stale cache.
-        let _ = conv.forward(&x, true);
-        let _ = conv.forward(&x, false);
-        assert!(
-            !conv.holds_cached_cols(),
-            "eval forward must not retain the im2col cache"
-        );
+        let _ = conv.infer(&x, InferenceMode::Exact);
+        assert!(!conv.holds_cached_cols(), "infer must not cache");
     }
 
-    /// Train/eval forwards compute identical outputs (caching is the only
-    /// difference), and eval-then-backward is rejected.
+    /// The training forward and the `Exact` inference lane compute
+    /// identical outputs (caching is the only difference), and the
+    /// `Int8` lane stays close to them.
     #[test]
     fn eval_forward_matches_train_forward() {
         let mut rng = seeded(12);
         let mut conv = Conv2d::new(3, 2, 3, 3, &mut rng);
         let x = Tensor::randn(&[1, 3, 6, 4], 0.0, 1.0, &mut rng);
-        let y_train = conv.forward(&x, true);
-        let y_eval = conv.forward(&x, false);
-        assert_eq!(y_train, y_eval);
+        let y_train = conv.forward(&x);
+        assert_eq!(y_train, conv.infer(&x, InferenceMode::Exact));
+        let q = conv.infer(&x, InferenceMode::Int8);
+        for (a, b) in y_train.data().iter().zip(q.data()) {
+            assert!((a - b).abs() < 0.1, "int8: {a} vs {b}");
+        }
     }
 
     #[test]
@@ -413,7 +368,7 @@ mod tests {
         let mut rng = seeded(13);
         let mut conv = Conv2d::new(1, 1, 1, 1, &mut rng);
         let x = Tensor::zeros(&[1, 1, 2, 2]);
-        let _ = conv.forward(&x, false);
+        let _ = conv.infer(&x, InferenceMode::Exact);
         let _ = conv.backward(&Tensor::zeros(&[1, 1, 2, 2]));
     }
 

@@ -1,23 +1,18 @@
 //! Fully-connected (dense) layer: `y = x·W + b`.
 
-use apots_tensor::quant::{self, QTensor};
 use apots_tensor::rng::Rng;
 use apots_tensor::{InferenceMode, Tensor};
 
 use crate::init::xavier_uniform;
 use crate::layer::{Layer, Param};
+use crate::weight::Weight;
 
 /// A dense layer mapping `[batch, in_features]` to `[batch, out_features]`.
 pub struct Dense {
-    w: Tensor,  // [in, out]
+    w: Weight,  // [in, out]
     b: Tensor,  // [out]
-    dw: Tensor, // [in, out]
     db: Tensor, // [out]
     cached_input: Option<Tensor>,
-    /// Int8-quantized weights, built lazily by `prepare(Int8)` (or the
-    /// first `forward_mode(_, Int8)` call). Never consulted by `forward`,
-    /// so training stays on the exact kernels even when populated.
-    qw: Option<QTensor>,
 }
 
 impl Dense {
@@ -28,38 +23,39 @@ impl Dense {
             "Dense: zero-sized layer"
         );
         Self {
-            w: xavier_uniform(&[in_features, out_features], in_features, out_features, rng),
+            w: Weight::new(xavier_uniform(
+                &[in_features, out_features],
+                in_features,
+                out_features,
+                rng,
+            )),
             b: Tensor::zeros(&[out_features]),
-            dw: Tensor::zeros(&[in_features, out_features]),
             db: Tensor::zeros(&[out_features]),
             cached_input: None,
-            qw: None,
         }
     }
 
     /// Input feature count.
     pub fn in_features(&self) -> usize {
-        self.w.shape()[0]
+        self.w.value().shape()[0]
     }
 
     /// Output feature count.
     pub fn out_features(&self) -> usize {
-        self.w.shape()[1]
+        self.w.value().shape()[1]
     }
 
     /// Read-only view of the weight matrix (testing / inspection).
     pub fn weights(&self) -> &Tensor {
-        &self.w
+        self.w.value()
     }
 
     /// Read-only view of the bias vector (testing / inspection).
     pub fn bias(&self) -> &Tensor {
         &self.b
     }
-}
 
-impl Layer for Dense {
-    fn forward(&mut self, input: &Tensor, _train: bool) -> Tensor {
+    fn check_input(&self, input: &Tensor) {
         assert_eq!(input.rank(), 2, "Dense expects rank-2 input");
         assert_eq!(
             input.cols(),
@@ -68,7 +64,13 @@ impl Layer for Dense {
             input.cols(),
             self.in_features()
         );
-        let mut out = input.matmul(&self.w);
+    }
+}
+
+impl Layer for Dense {
+    fn forward(&mut self, input: &Tensor) -> Tensor {
+        self.check_input(input);
+        let mut out = input.matmul(self.w.value());
         out.add_row_broadcast(&self.b);
         self.cached_input = Some(input.clone());
         out
@@ -89,17 +91,21 @@ impl Layer for Dense {
         // Accumulate into the persistent grad tensors (`_into` kernels are
         // bit-identical to their allocating twins; see DESIGN.md §9/§10) so
         // steady-state backward performs no gradient allocation at all.
-        x.matmul_at_b_into(grad_out, &mut self.dw); // xᵀ · dy
+        x.matmul_at_b_into(grad_out, &mut self.w.grad); // xᵀ · dy
         grad_out.sum_axis0_into(&mut self.db);
-        grad_out.matmul_a_bt(&self.w) // dy · wᵀ
+        grad_out.matmul_a_bt(self.w.value()) // dy · wᵀ
+    }
+
+    fn infer(&self, input: &Tensor, mode: InferenceMode) -> Tensor {
+        self.check_input(input);
+        let mut out = self.w.matmul(input, mode);
+        out.add_row_broadcast(&self.b);
+        out
     }
 
     fn params_mut(&mut self) -> Vec<Param<'_>> {
         vec![
-            Param {
-                value: &mut self.w,
-                grad: &mut self.dw,
-            },
+            self.w.param(),
             Param {
                 value: &mut self.b,
                 grad: &mut self.db,
@@ -108,29 +114,7 @@ impl Layer for Dense {
     }
 
     fn prepare(&mut self, mode: InferenceMode) {
-        if mode == InferenceMode::Int8 {
-            self.qw = Some(quant::quantize_weights(&self.w));
-        }
-    }
-
-    fn forward_mode(&mut self, input: &Tensor, mode: InferenceMode) -> Tensor {
-        if mode == InferenceMode::Exact {
-            return self.forward(input, false);
-        }
-        assert_eq!(input.rank(), 2, "Dense expects rank-2 input");
-        assert_eq!(
-            input.cols(),
-            self.in_features(),
-            "Dense: input has {} features, layer expects {}",
-            input.cols(),
-            self.in_features()
-        );
-        if self.qw.is_none() {
-            self.prepare(InferenceMode::Int8);
-        }
-        let mut out = quant::qmatmul(input, self.qw.as_ref().unwrap());
-        out.add_row_broadcast(&self.b);
-        out
+        self.w.prepare(mode);
     }
 }
 
@@ -144,10 +128,10 @@ mod tests {
         let mut rng = seeded(1);
         let mut d = Dense::new(3, 2, &mut rng);
         // Make deterministic: w = 0, b = [1, 2]
-        d.w.fill_zero();
+        d.w.value_mut().fill_zero();
         d.b.data_mut().copy_from_slice(&[1.0, 2.0]);
         let x = Tensor::ones(&[4, 3]);
-        let y = d.forward(&x, true);
+        let y = d.forward(&x);
         assert_eq!(y.shape(), &[4, 2]);
         for i in 0..4 {
             assert_eq!(y.row(i), &[1.0, 2.0]);
@@ -158,16 +142,16 @@ mod tests {
     fn backward_matches_manual() {
         let mut rng = seeded(2);
         let mut d = Dense::new(2, 1, &mut rng);
-        d.w.data_mut().copy_from_slice(&[3.0, -1.0]);
+        d.w.value_mut().data_mut().copy_from_slice(&[3.0, -1.0]);
         d.b.data_mut().copy_from_slice(&[0.5]);
         let x = Tensor::from_rows(&[vec![1.0, 2.0], vec![-1.0, 0.0]]);
-        let _ = d.forward(&x, true);
+        let _ = d.forward(&x);
         let dy = Tensor::from_rows(&[vec![1.0], vec![2.0]]);
         let dx = d.backward(&dy);
         // dx = dy·wᵀ
         assert_eq!(dx.data(), &[3.0, -1.0, 6.0, -2.0]);
         // dw = xᵀ·dy = [[1*1 + -1*2], [2*1 + 0*2]] = [[-1], [2]]
-        assert_eq!(d.dw.data(), &[-1.0, 2.0]);
+        assert_eq!(d.w.grad.data(), &[-1.0, 2.0]);
         // db = sum dy
         assert_eq!(d.db.data(), &[3.0]);
     }
@@ -192,18 +176,18 @@ mod tests {
     fn forward_rejects_wrong_width() {
         let mut rng = seeded(5);
         let mut d = Dense::new(3, 2, &mut rng);
-        let _ = d.forward(&Tensor::zeros(&[1, 4]), true);
+        let _ = d.forward(&Tensor::zeros(&[1, 4]));
     }
 
     #[test]
-    fn forward_mode_lanes_track_exact() {
+    fn infer_lanes_track_exact() {
         let mut rng = seeded(6);
         let mut d = Dense::new(16, 8, &mut rng);
         let x = Tensor::rand_uniform(&[5, 16], -1.0, 1.0, &mut rng);
-        let exact = d.forward_mode(&x, InferenceMode::Exact);
-        assert_eq!(exact, d.forward(&x, false), "Exact lane must be bitwise");
+        let exact = d.infer(&x, InferenceMode::Exact);
+        assert_eq!(exact, d.forward(&x), "Exact lane must be bitwise");
         d.prepare(InferenceMode::Int8);
-        let q = d.forward_mode(&x, InferenceMode::Int8);
+        let q = d.infer(&x, InferenceMode::Int8);
         for (a, b) in exact.data().iter().zip(q.data()) {
             assert!((a - b).abs() < 0.1, "{a} vs {b}");
         }

@@ -14,22 +14,28 @@ pub struct Param<'a> {
 
 /// A differentiable computation stage.
 ///
-/// The forward pass caches whatever its backward pass needs; calling
-/// [`Layer::backward`] before [`Layer::forward`] is a programming error and
-/// panics. Gradients are **overwritten** (not accumulated) on each backward
-/// call, so one forward/backward pair per optimizer step is the intended
-/// usage.
-pub trait Layer {
-    /// Computes the layer output for `input`.
-    ///
-    /// `train` selects training-time behaviour: the LSTM and conv layers
-    /// keep the caches `backward` needs (BPTT state, the patch matrix)
-    /// only on a training forward; inference passes `false`.
-    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor;
+/// Training runs [`Layer::forward`], which caches whatever the matching
+/// [`Layer::backward`] needs; calling `backward` before `forward` is a
+/// programming error and panics. Gradients are **overwritten** (not
+/// accumulated) on each backward call, so one forward/backward pair per
+/// optimizer step is the intended usage.
+///
+/// Inference runs [`Layer::infer`] through `&self`: it writes no state,
+/// so one prepared layer can answer from many threads at once.
+pub trait Layer: Send + Sync {
+    /// Training forward: computes the layer output for `input` and keeps
+    /// what `backward` needs.
+    fn forward(&mut self, input: &Tensor) -> Tensor;
 
     /// Propagates `grad_out` (∂loss/∂output) backwards, storing parameter
     /// gradients internally and returning ∂loss/∂input.
     fn backward(&mut self, grad_out: &Tensor) -> Tensor;
+
+    /// Inference forward on `mode`'s lane; keeps nothing. `Exact` runs
+    /// the training kernels in the training order, so its output equals
+    /// `forward`'s bit for bit; `Int8` multiplies by the quantized weight
+    /// copies and is tolerance-gated, not bit-exact (DESIGN.md §15).
+    fn infer(&self, input: &Tensor, mode: InferenceMode) -> Tensor;
 
     /// Mutable access to all trainable parameters, in a stable order.
     ///
@@ -43,25 +49,11 @@ pub trait Layer {
         self.params_mut().iter().map(|p| p.value.len()).sum()
     }
 
-    /// Pre-builds whatever `mode` needs before serving (the int8 weight
-    /// quantization), so the first request doesn't pay for it. Layers
-    /// without an int8 lane ignore this.
-    ///
-    /// Training never calls this: the training loop only goes through
-    /// [`Layer::forward`], which stays on the bit-exact serial kernels
-    /// regardless of any prepared state (DESIGN.md §15).
+    /// Pre-builds whatever `mode` needs before the layer is shared (the
+    /// int8 weight copies), so the first request doesn't pay for it.
+    /// [`Layer::infer`] builds them on first use otherwise. Layers without
+    /// weights ignore this; training never calls it.
     fn prepare(&mut self, _mode: InferenceMode) {}
-
-    /// Inference-only forward dispatched by [`InferenceMode`].
-    ///
-    /// `Exact` (the default implementation) is `forward(input, false)` —
-    /// bit-identical to what training-time evaluation computes. Layers
-    /// with weight matrices override this to route `Int8` through the
-    /// quantized matmul; that lane is tolerance-gated, not bit-exact
-    /// (DESIGN.md §15).
-    fn forward_mode(&mut self, input: &Tensor, _mode: InferenceMode) -> Tensor {
-        self.forward(input, false)
-    }
 }
 
 #[cfg(test)]
@@ -70,11 +62,14 @@ mod tests {
 
     struct Identity;
     impl Layer for Identity {
-        fn forward(&mut self, input: &Tensor, _train: bool) -> Tensor {
+        fn forward(&mut self, input: &Tensor) -> Tensor {
             input.clone()
         }
         fn backward(&mut self, grad_out: &Tensor) -> Tensor {
             grad_out.clone()
+        }
+        fn infer(&self, input: &Tensor, _mode: InferenceMode) -> Tensor {
+            input.clone()
         }
     }
 

@@ -8,7 +8,7 @@
 //! * [`Conv2d`] same-padding 2-D convolutions (im2col based);
 //! * [`Lstm`] long short-term memory layers with full backpropagation
 //!   through time;
-//! * [`activation`] layers (ReLU, leaky ReLU, sigmoid, tanh);
+//! * [`activation`] layers (ReLU, leaky ReLU, sigmoid);
 //! * [`Sequential`] containers;
 //! * numerically-stable [`loss`] functions (MSE, BCE-with-logits — the GAN
 //!   losses of Eq 1/2 in the paper);
@@ -17,13 +17,15 @@
 //! * a finite-difference [`gradcheck`] harness used by this crate's tests to
 //!   verify every analytic gradient.
 //!
-//! The API is deliberately *mutable-forward*: `forward(&mut self, ...)`
-//! caches whatever the matching `backward` needs, exactly like classic
+//! Training is *mutable-forward*: `forward(&mut self, ...)` caches
+//! whatever the matching `backward` needs, exactly like classic
 //! layer-oriented frameworks. No autograd tape — each layer's backward pass
 //! is derived and written by hand, then verified by gradient checking.
-//! Serving goes through [`Layer::forward_mode`], which runs one of two
-//! [`InferenceMode`] lanes: `Exact`, bit-identical to `forward(x, false)`,
-//! or `Int8`, quantized weights with i32 accumulation.
+//! Inference is [`Layer::infer`], each layer's one inference body: it
+//! takes `&self`, keeps nothing, and runs one of two [`InferenceMode`]
+//! lanes — `Exact`, bit-identical to the training forward, or `Int8`,
+//! each weight matrix's quantized copy with i32 accumulation — so one
+//! prepared model can answer from many threads at once.
 
 pub mod activation;
 pub mod conv;
@@ -37,8 +39,9 @@ pub mod optim;
 pub mod schedule;
 pub mod sequential;
 pub mod state;
+mod weight;
 
-pub use activation::{LeakyRelu, Relu, Sigmoid, Tanh};
+pub use activation::{LeakyRelu, Relu, Sigmoid};
 pub use conv::Conv2d;
 pub use dense::Dense;
 pub use layer::{Layer, Param};

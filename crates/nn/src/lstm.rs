@@ -9,13 +9,13 @@
 //! the full hidden sequence `[batch, time, hidden]` (for stacking) or only
 //! the final hidden state `[batch, hidden]`.
 
-use apots_tensor::quant::{self, QTensor};
 use apots_tensor::rng::Rng;
 use apots_tensor::{InferenceMode, Tensor};
 
 use crate::activation::sigmoid_scalar;
 use crate::init::xavier_uniform;
 use crate::layer::{Layer, Param};
+use crate::weight::Weight;
 
 /// Per-timestep forward cache used by BPTT. The input rows live once in
 /// [`Lstm::x_seq`] (the whole `[B, T, I]` tensor), not per step.
@@ -141,20 +141,15 @@ pub struct Lstm {
     input_size: usize,
     hidden_size: usize,
     return_sequences: bool,
-    wx: Tensor,  // [I, 4H], gate order i|f|g|o
-    wh: Tensor,  // [H, 4H]
-    b: Tensor,   // [4H]
-    dwx: Tensor, // [I, 4H]
-    dwh: Tensor, // [H, 4H]
-    db: Tensor,  // [4H]
+    wx: Weight, // [I, 4H], gate order i|f|g|o
+    wh: Weight, // [H, 4H]
+    b: Tensor,  // [4H]
+    db: Tensor, // [4H]
     cache: Vec<StepCache>,
     /// The forward input `[B, T, I]`, cached whole for BPTT's per-step
     /// `xᵀ·dz` weight gradients (one clone instead of `T` row-block
     /// copies).
     x_seq: Option<Tensor>,
-    /// Int8-quantized `(wx, wh)`, built by `prepare(Int8)` (or lazily on
-    /// the first int8 forward). Never consulted by `forward`.
-    qw: Option<(QTensor, QTensor)>,
 }
 
 impl Lstm {
@@ -178,20 +173,22 @@ impl Lstm {
             input_size,
             hidden_size,
             return_sequences,
-            wx: xavier_uniform(&[input_size, 4 * hidden_size], input_size, hidden_size, rng),
-            wh: xavier_uniform(
+            wx: Weight::new(xavier_uniform(
+                &[input_size, 4 * hidden_size],
+                input_size,
+                hidden_size,
+                rng,
+            )),
+            wh: Weight::new(xavier_uniform(
                 &[hidden_size, 4 * hidden_size],
                 hidden_size,
                 hidden_size,
                 rng,
-            ),
+            )),
             b,
-            dwx: Tensor::zeros(&[input_size, 4 * hidden_size]),
-            dwh: Tensor::zeros(&[hidden_size, 4 * hidden_size]),
             db: Tensor::zeros(&[4 * hidden_size]),
             cache: Vec::new(),
             x_seq: None,
-            qw: None,
         }
     }
 
@@ -209,10 +206,10 @@ impl Lstm {
     pub fn returns_sequences(&self) -> bool {
         self.return_sequences
     }
-}
 
-impl Layer for Lstm {
-    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
+    /// Checks a `[batch, time, features]` input and returns `(batch,
+    /// time)`.
+    fn check_input(&self, input: &Tensor) -> (usize, usize) {
         assert_eq!(input.rank(), 3, "Lstm expects [batch, time, features]");
         let s = input.shape();
         let (b, steps, feat) = (s[0], s[1], s[2]);
@@ -222,6 +219,13 @@ impl Layer for Lstm {
             self.input_size
         );
         assert!(steps > 0, "Lstm: empty time axis");
+        (b, steps)
+    }
+}
+
+impl Layer for Lstm {
+    fn forward(&mut self, input: &Tensor) -> Tensor {
+        let (b, steps) = self.check_input(input);
         let hsz = self.hidden_size;
         self.cache.clear();
 
@@ -234,7 +238,7 @@ impl Layer for Lstm {
         // the matmul is `T`× wider (better panel utilisation, one launch,
         // and large enough for the pool to engage).
         let mut xz = Tensor::zeros(&[b * steps, 4 * hsz]);
-        input.matmul_flat_into(&self.wx, &mut xz);
+        input.matmul_flat_into(self.wx.value(), &mut xz);
         xz.reshape_in_place(&[b, steps, 4 * hsz]);
         // Preallocated per-step workspaces, reused across all timesteps:
         // the [B, 4H] gate pre-activation buffer and the h·wh scratch.
@@ -248,7 +252,7 @@ impl Layer for Lstm {
 
         for t in 0..steps {
             xz.time_slice_into(t, &mut z);
-            h.matmul_into(&self.wh, &mut zh);
+            h.matmul_into(self.wh.value(), &mut zh);
             z.add_assign_t(&zh);
             z.add_row_broadcast(&self.b);
 
@@ -271,23 +275,19 @@ impl Layer for Lstm {
             };
             gate_step(z.data(), c.data(), out, hsz, steps, t);
 
-            // Eval-mode forwards keep nothing for BPTT: the step tensors
-            // go straight back to the arena.
-            if train {
-                self.cache.push(StepCache {
-                    h_prev: h,
-                    c_prev: c,
-                    i: i_g,
-                    f: f_g,
-                    g: g_g,
-                    o: o_g,
-                    tanh_c,
-                });
-            }
+            self.cache.push(StepCache {
+                h_prev: h,
+                c_prev: c,
+                i: i_g,
+                f: f_g,
+                g: g_g,
+                o: o_g,
+                tanh_c,
+            });
             h = h_new;
             c = c_new;
         }
-        self.x_seq = train.then(|| input.clone());
+        self.x_seq = Some(input.clone());
 
         match seq {
             Some(out) => out,
@@ -314,8 +314,8 @@ impl Layer for Lstm {
             assert_eq!(grad_out.shape(), &[b, hsz], "Lstm grad shape");
         }
 
-        self.dwx.fill_zero();
-        self.dwh.fill_zero();
+        self.wx.grad.fill_zero();
+        self.wh.grad.fill_zero();
         self.db.fill_zero();
 
         let mut dh_next = Tensor::zeros(&[b, hsz]);
@@ -388,18 +388,18 @@ impl Layer for Lstm {
 
             x_seq.time_slice_into(t, &mut x_t);
             x_t.matmul_at_b_into(&dz, &mut dwx_t);
-            self.dwx.add_assign_t(&dwx_t);
+            self.wx.grad.add_assign_t(&dwx_t);
             sc.h_prev.matmul_at_b_into(&dz, &mut dwh_t);
-            self.dwh.add_assign_t(&dwh_t);
+            self.wh.grad.add_assign_t(&dwh_t);
             dz.sum_axis0_into(&mut db_t);
             self.db.add_assign_t(&db_t);
 
-            dz.matmul_a_bt_into(&self.wx, &mut dx_t); // [B, I]
+            dz.matmul_a_bt_into(self.wx.value(), &mut dx_t); // [B, I]
             for bi in 0..b {
                 let dst = (bi * steps + t) * isz;
                 dx_all.data_mut()[dst..dst + isz].copy_from_slice(dx_t.row(bi));
             }
-            dz.matmul_a_bt_into(&self.wh, &mut dh_next); // [B, H]
+            dz.matmul_a_bt_into(self.wh.value(), &mut dh_next); // [B, H]
         }
         // Like `x_seq` above, the step caches serve exactly one backward.
         self.cache.clear();
@@ -407,16 +407,48 @@ impl Layer for Lstm {
         dx_all
     }
 
+    /// The recurrence of `forward` without its BPTT caches, on `mode`'s
+    /// lane: the same whole-sequence input projection, per-step
+    /// recurrent product and [`gate_step`] (row split included), so
+    /// `Exact` equals `forward` bit for bit. The gate activations BPTT
+    /// would keep go to step-reused scratch, and `h` / `c` double-buffer.
+    fn infer(&self, input: &Tensor, mode: InferenceMode) -> Tensor {
+        let (b, steps) = self.check_input(input);
+        let hsz = self.hidden_size;
+        let mut xz = self.wx.matmul(input, mode);
+        xz.reshape_in_place(&[b, steps, 4 * hsz]);
+        let mut z = Tensor::zeros(&[b, 4 * hsz]);
+        let [mut h, mut c, mut h_new, mut c_new, mut i_g, mut f_g, mut g_g, mut o_g, mut tanh_c] =
+            std::array::from_fn(|_| Tensor::zeros(&[b, hsz]));
+        let mut seq = self
+            .return_sequences
+            .then(|| Tensor::zeros(&[b, steps, hsz]));
+
+        for t in 0..steps {
+            xz.time_slice_into(t, &mut z);
+            z.add_assign_t(&self.wh.matmul(&h, mode));
+            z.add_row_broadcast(&self.b);
+            let out = StepOut {
+                i: i_g.data_mut(),
+                f: f_g.data_mut(),
+                g: g_g.data_mut(),
+                o: o_g.data_mut(),
+                c: c_new.data_mut(),
+                tanh_c: tanh_c.data_mut(),
+                h: h_new.data_mut(),
+                seq: seq.as_mut().map(|s| s.data_mut()),
+            };
+            gate_step(z.data(), c.data(), out, hsz, steps, t);
+            std::mem::swap(&mut h, &mut h_new);
+            std::mem::swap(&mut c, &mut c_new);
+        }
+        seq.unwrap_or(h)
+    }
+
     fn params_mut(&mut self) -> Vec<Param<'_>> {
         vec![
-            Param {
-                value: &mut self.wx,
-                grad: &mut self.dwx,
-            },
-            Param {
-                value: &mut self.wh,
-                grad: &mut self.dwh,
-            },
+            self.wx.param(),
+            self.wh.param(),
             Param {
                 value: &mut self.b,
                 grad: &mut self.db,
@@ -425,81 +457,8 @@ impl Layer for Lstm {
     }
 
     fn prepare(&mut self, mode: InferenceMode) {
-        if mode == InferenceMode::Int8 {
-            self.qw = Some((
-                quant::quantize_weights(&self.wx),
-                quant::quantize_weights(&self.wh),
-            ));
-        }
-    }
-
-    fn forward_mode(&mut self, input: &Tensor, mode: InferenceMode) -> Tensor {
-        if mode == InferenceMode::Exact {
-            return self.forward(input, false);
-        }
-        assert_eq!(input.rank(), 3, "Lstm expects [batch, time, features]");
-        let s = input.shape();
-        let (b, steps, feat) = (s[0], s[1], s[2]);
-        assert_eq!(
-            feat, self.input_size,
-            "Lstm: input has {feat} features, layer expects {}",
-            self.input_size
-        );
-        assert!(steps > 0, "Lstm: empty time axis");
-        let hsz = self.hidden_size;
-        if self.qw.is_none() {
-            self.prepare(InferenceMode::Int8);
-        }
-        let (qwx, qwh) = self.qw.as_ref().unwrap();
-
-        // Same whole-sequence input projection as `forward`, but routed
-        // through the int8 matmul. No BPTT caches are built.
-        let mut x2 = input.clone();
-        x2.reshape_in_place(&[b * steps, feat]);
-        let mut xz = quant::qmatmul(&x2, qwx);
-        xz.reshape_in_place(&[b, steps, 4 * hsz]);
-
-        let mut h = Tensor::zeros(&[b, hsz]);
-        let mut c = Tensor::zeros(&[b, hsz]);
-        let mut z = Tensor::zeros(&[b, 4 * hsz]);
-        let mut seq = self
-            .return_sequences
-            .then(|| Tensor::zeros(&[b, steps, hsz]));
-
-        for t in 0..steps {
-            xz.time_slice_into(t, &mut z);
-            let zh = quant::qmatmul(&h, qwh);
-            z.add_assign_t(&zh);
-            z.add_row_broadcast(&self.b);
-            // The recurrent matmul above already consumed h, so the state
-            // update can run in place.
-            let zd = z.data();
-            let hd = h.data_mut();
-            let cd = c.data_mut();
-            let mut seq_d = seq.as_mut().map(|s| s.data_mut());
-            for bi in 0..b {
-                let zr = &zd[bi * 4 * hsz..(bi + 1) * 4 * hsz];
-                for j in 0..hsz {
-                    let e = bi * hsz + j;
-                    let iv = sigmoid_scalar(zr[j]);
-                    let fv = sigmoid_scalar(zr[hsz + j]);
-                    let gv = zr[2 * hsz + j].tanh();
-                    let ov = sigmoid_scalar(zr[3 * hsz + j]);
-                    let cn = fv * cd[e] + iv * gv;
-                    let hn = ov * cn.tanh();
-                    cd[e] = cn;
-                    hd[e] = hn;
-                    if let Some(sd) = seq_d.as_deref_mut() {
-                        sd[(bi * steps + t) * hsz + j] = hn;
-                    }
-                }
-            }
-        }
-
-        match seq {
-            Some(out) => out,
-            None => h,
-        }
+        self.wx.prepare(mode);
+        self.wh.prepare(mode);
     }
 }
 
@@ -513,10 +472,10 @@ mod tests {
         let mut rng = seeded(1);
         let mut last = Lstm::new(3, 5, false, &mut rng);
         let x = Tensor::randn(&[2, 4, 3], 0.0, 1.0, &mut rng);
-        assert_eq!(last.forward(&x, true).shape(), &[2, 5]);
+        assert_eq!(last.forward(&x).shape(), &[2, 5]);
 
         let mut seq = Lstm::new(3, 5, true, &mut rng);
-        assert_eq!(seq.forward(&x, true).shape(), &[2, 4, 5]);
+        assert_eq!(seq.forward(&x).shape(), &[2, 4, 5]);
     }
 
     #[test]
@@ -524,7 +483,7 @@ mod tests {
         let mut rng = seeded(2);
         let mut lstm = Lstm::new(3, 4, false, &mut rng);
         let x = Tensor::randn(&[2, 6, 3], 0.0, 1.0, &mut rng);
-        let _ = lstm.forward(&x, true);
+        let _ = lstm.forward(&x);
         let dx = lstm.backward(&Tensor::ones(&[2, 4]));
         assert_eq!(dx.shape(), &[2, 6, 3]);
     }
@@ -535,7 +494,7 @@ mod tests {
         let mut rng = seeded(3);
         let mut lstm = Lstm::new(2, 8, true, &mut rng);
         let x = Tensor::randn(&[4, 10, 2], 0.0, 5.0, &mut rng);
-        let y = lstm.forward(&x, true);
+        let y = lstm.forward(&x);
         assert!(y.data().iter().all(|v| v.abs() < 1.0));
     }
 
@@ -546,8 +505,8 @@ mod tests {
         let mut seq = Lstm::new(3, 4, true, &mut rng_a);
         let mut last = Lstm::new(3, 4, false, &mut rng_b);
         let x = Tensor::randn(&[2, 5, 3], 0.0, 1.0, &mut seeded(9));
-        let ys = seq.forward(&x, true);
-        let yl = last.forward(&x, true);
+        let ys = seq.forward(&x);
+        let yl = last.forward(&x);
         for bi in 0..2 {
             for j in 0..4 {
                 let from_seq = ys.data()[(bi * 5 + 4) * 4 + j];
@@ -591,7 +550,7 @@ mod tests {
     }
 
     /// The BPTT caches (`x_seq` plus seven tensors per step) exist only
-    /// between a train-mode forward and its backward.
+    /// between a training forward and its backward; `infer` builds none.
     #[test]
     fn bptt_cache_released_after_backward_and_absent_in_eval() {
         let mut rng = seeded(11);
@@ -599,31 +558,34 @@ mod tests {
         let x = Tensor::randn(&[2, 5, 3], 0.0, 1.0, &mut rng);
         let holds_cache = |l: &Lstm| !l.cache.is_empty() || l.x_seq.is_some();
 
-        // Train-mode forward caches; backward takes the cache with it.
-        let _ = lstm.forward(&x, true);
+        // Training forward caches; backward takes the cache with it.
+        let _ = lstm.forward(&x);
         assert!(holds_cache(&lstm), "train forward should cache");
         let _ = lstm.backward(&Tensor::ones(&[2, 5, 4]));
         assert!(!holds_cache(&lstm), "backward must release the BPTT caches");
-
-        // Eval-mode forward never caches, and clears any stale cache.
-        let _ = lstm.forward(&x, true);
-        let _ = lstm.forward(&x, false);
-        assert!(
-            !holds_cache(&lstm),
-            "eval forward must not retain the BPTT caches"
-        );
+        let _ = lstm.infer(&x, InferenceMode::Exact);
+        assert!(!holds_cache(&lstm), "infer must not cache");
     }
 
-    /// Train/eval forwards compute identical outputs (caching is the only
-    /// difference), and eval-then-backward is rejected.
+    /// The training forward and the `Exact` inference lane compute
+    /// identical outputs (caching is the only difference), with and
+    /// without a row split of the gate loop.
     #[test]
     fn eval_forward_matches_train_forward() {
-        for seq_mode in [false, true] {
+        for (seq_mode, b) in [(false, 3), (true, 3), (false, 96), (true, 96)] {
             let mut rng = seeded(12);
-            let mut lstm = Lstm::new(4, 6, seq_mode, &mut rng);
-            let x = Tensor::randn(&[3, 7, 4], 0.0, 1.0, &mut rng);
-            let y_train = lstm.forward(&x, true);
-            assert_eq!(y_train, lstm.forward(&x, false));
+            let mut lstm = Lstm::new(4, 24, seq_mode, &mut rng);
+            let x = Tensor::randn(&[b, 7, 4], 0.0, 1.0, &mut rng);
+            let y_train = lstm.forward(&x);
+            for threads in [1, 2] {
+                apots_par::set_threads(threads);
+                assert_eq!(
+                    y_train,
+                    lstm.infer(&x, InferenceMode::Exact),
+                    "b{b} t{threads}"
+                );
+            }
+            apots_par::reset_threads();
         }
     }
 
@@ -632,20 +594,20 @@ mod tests {
     fn backward_after_eval_forward_panics() {
         let mut rng = seeded(13);
         let mut lstm = Lstm::new(2, 3, false, &mut rng);
-        let _ = lstm.forward(&Tensor::zeros(&[1, 4, 2]), false);
+        let _ = lstm.infer(&Tensor::zeros(&[1, 4, 2]), InferenceMode::Exact);
         let _ = lstm.backward(&Tensor::ones(&[1, 3]));
     }
 
     #[test]
-    fn forward_mode_lanes_track_exact() {
+    fn infer_lanes_track_exact() {
         for &seq_mode in &[false, true] {
             let mut rng = seeded(7);
             let mut lstm = Lstm::new(5, 9, seq_mode, &mut rng);
             let x = Tensor::randn(&[3, 6, 5], 0.0, 1.0, &mut rng);
-            let exact = lstm.forward_mode(&x, InferenceMode::Exact);
-            assert_eq!(exact, lstm.forward(&x, false), "Exact lane must be bitwise");
+            let exact = lstm.infer(&x, InferenceMode::Exact);
+            assert_eq!(exact, lstm.forward(&x), "Exact lane must be bitwise");
             lstm.prepare(InferenceMode::Int8);
-            let q = lstm.forward_mode(&x, InferenceMode::Int8);
+            let q = lstm.infer(&x, InferenceMode::Int8);
             assert_eq!(q.shape(), exact.shape());
             // Recurrent quantization error compounds over timesteps, but
             // the saturating gates keep it small on tame inputs.

@@ -279,7 +279,7 @@ mod tests {
         let y = Tensor::from_rows(&[vec![1.0], vec![3.0], vec![5.0], vec![7.0]]); // y = 2x + 1
         let mut last = f32::INFINITY;
         for _ in 0..500 {
-            let pred = layer.forward(&x, true);
+            let pred = layer.forward(&x);
             let (loss, grad) = mse(&pred, &y);
             let _ = layer.backward(&grad);
             opt.step(layer.params_mut());

@@ -40,10 +40,10 @@ impl Sequential {
 }
 
 impl Layer for Sequential {
-    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
+    fn forward(&mut self, input: &Tensor) -> Tensor {
         let mut x = input.clone();
         for layer in &mut self.layers {
-            x = layer.forward(&x, train);
+            x = layer.forward(&x);
         }
         x
     }
@@ -54,6 +54,14 @@ impl Layer for Sequential {
             g = layer.backward(&g);
         }
         g
+    }
+
+    fn infer(&self, input: &Tensor, mode: InferenceMode) -> Tensor {
+        let Some((first, rest)) = self.layers.split_first() else {
+            return input.clone();
+        };
+        rest.iter()
+            .fold(first.infer(input, mode), |x, layer| layer.infer(&x, mode))
     }
 
     fn params_mut(&mut self) -> Vec<Param<'_>> {
@@ -67,14 +75,6 @@ impl Layer for Sequential {
         for layer in &mut self.layers {
             layer.prepare(mode);
         }
-    }
-
-    fn forward_mode(&mut self, input: &Tensor, mode: InferenceMode) -> Tensor {
-        let mut x = input.clone();
-        for layer in &mut self.layers {
-            x = layer.forward_mode(&x, mode);
-        }
-        x
     }
 }
 
@@ -94,8 +94,9 @@ mod tests {
             .push(Dense::new(4, 2, &mut rng));
         assert_eq!(net.len(), 3);
         let x = Tensor::ones(&[5, 3]);
-        let y = net.forward(&x, true);
+        let y = net.forward(&x);
         assert_eq!(y.shape(), &[5, 2]);
+        assert_eq!(net.infer(&x, InferenceMode::Exact), y);
         let dx = net.backward(&Tensor::ones(&[5, 2]));
         assert_eq!(dx.shape(), &[5, 3]);
     }
@@ -116,7 +117,8 @@ mod tests {
         let mut net = Sequential::new();
         assert!(net.is_empty());
         let x = Tensor::from_vec(vec![1.0, 2.0]);
-        assert_eq!(net.forward(&x, true), x);
+        assert_eq!(net.forward(&x), x);
+        assert_eq!(net.infer(&x, InferenceMode::Int8), x);
         assert_eq!(net.backward(&x), x);
     }
 }

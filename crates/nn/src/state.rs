@@ -179,7 +179,7 @@ mod tests {
     use crate::loss::mse;
     use crate::optim::{Adam, Optimizer};
     use crate::sequential::Sequential;
-    use crate::{Relu, Sigmoid};
+    use crate::{InferenceMode, Relu, Sigmoid};
     use apots_tensor::rng::seeded;
 
     fn net() -> Sequential {
@@ -202,20 +202,20 @@ mod tests {
         let mut rng = seeded(4);
         let x = apots_tensor::Tensor::randn(&[8, 4], 0.0, 1.0, &mut rng);
         let y = apots_tensor::Tensor::rand_uniform(&[8, 2], 0.0, 1.0, &mut rng);
-        let before = a.forward(&x, false);
+        let before = a.infer(&x, InferenceMode::Exact);
         let mut opt = Adam::new(0.05);
         for _ in 0..20 {
-            let out = a.forward(&x, true);
+            let out = a.forward(&x);
             let (_, grad) = mse(&out, &y);
             let _ = a.backward(&grad);
             opt.step(a.params_mut());
         }
-        let trained = a.forward(&x, false);
+        let trained = a.infer(&x, InferenceMode::Exact);
         assert_ne!(before, trained);
 
         // …and restoring brings the original outputs back exactly.
         snapshot.restore(&mut a).unwrap();
-        let restored = a.forward(&x, false);
+        let restored = a.infer(&x, InferenceMode::Exact);
         assert_eq!(before, restored);
     }
 
@@ -224,7 +224,7 @@ mod tests {
         let mut a = net();
         let mut rng = seeded(5);
         let x = apots_tensor::Tensor::randn(&[3, 4], 0.0, 1.0, &mut rng);
-        let expected = a.forward(&x, false);
+        let expected = a.infer(&x, InferenceMode::Exact);
 
         let mut b = {
             let mut rng = seeded(999); // different init
@@ -234,9 +234,9 @@ mod tests {
                 .push(Dense::new(8, 2, &mut rng))
                 .push(Sigmoid::new())
         };
-        assert_ne!(b.forward(&x, false), expected);
+        assert_ne!(b.infer(&x, InferenceMode::Exact), expected);
         StateDict::capture(&mut a).restore(&mut b).unwrap();
-        assert_eq!(b.forward(&x, false), expected);
+        assert_eq!(b.infer(&x, InferenceMode::Exact), expected);
     }
 
     #[test]

@@ -107,7 +107,7 @@ fn random_mlp_shapes() {
                 prev = w;
             }
             let x = Tensor::randn(&[*batch, 7], 0.0, 1.0, &mut rng);
-            let y = net.forward(&x, true);
+            let y = net.forward(&x);
             prop_assert_eq!(y.shape(), &[*batch, prev]);
             prop_assert!(y.data().iter().all(|v| v.is_finite()));
             let dx = net.backward(&Tensor::ones(&[*batch, prev]));

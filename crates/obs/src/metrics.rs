@@ -310,8 +310,8 @@ pub static SERVE_REQUESTS: Counter = Counter::new("serve.requests", true);
 /// Predictions computed by `apots-serve` (one per `/predict` query;
 /// deterministic for a fixed query storm).
 pub static SERVE_PREDICTIONS: Counter = Counter::new("serve.predictions", true);
-/// Micro-batches drained by the shard inference loops (depends on
-/// request arrival timing — never deterministic).
+/// Forward passes run by `apots-serve`: one per prediction, since each
+/// request is answered alone by the worker that parsed it.
 pub static SERVE_BATCHES: Counter = Counter::new("serve.batches", false);
 /// Model snapshots hot-swapped in by the serve watcher (depends on
 /// poll timing relative to checkpoint writes).

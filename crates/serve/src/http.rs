@@ -112,6 +112,29 @@ pub fn read_head(stream: &mut TcpStream, buf: &mut Vec<u8>) -> io::Result<Option
     }
 }
 
+/// Whether a request head declares a body: a `Content-Length` other than
+/// `0`, or any `Transfer-Encoding`. The service reads heads only, so the
+/// server answers such a request and then closes the connection rather
+/// than read the body as the next head. Header names match
+/// case-insensitively; a `Content-Length` that is not a plain integer
+/// counts as a body.
+pub fn declares_body(head: &[u8]) -> bool {
+    head.split(|&b| b == b'\n').skip(1).any(|line| {
+        let Some(colon) = line.iter().position(|&b| b == b':') else {
+            return false;
+        };
+        let (name, value) = (&line[..colon], line[colon + 1..].trim_ascii());
+        if name.eq_ignore_ascii_case(b"transfer-encoding") {
+            return true;
+        }
+        name.eq_ignore_ascii_case(b"content-length")
+            && std::str::from_utf8(value)
+                .ok()
+                .and_then(|v| v.parse::<u64>().ok())
+                != Some(0)
+    })
+}
+
 /// Index one past the `\r\n\r\n` terminator, if present.
 fn find_head_end(buf: &[u8]) -> Option<usize> {
     buf.windows(4).position(|w| w == b"\r\n\r\n").map(|i| i + 4)
@@ -133,9 +156,20 @@ impl ResponseBuf {
         &mut self.body
     }
 
-    /// Formats the full response for `status` around the staged body. A
-    /// 405 names the one method served in an `Allow` header.
+    /// Formats the full keep-alive response for `status` around the
+    /// staged body. A 405 names the one method served in an `Allow`
+    /// header.
     pub fn finish(&mut self, status: u16) -> &str {
+        self.render(status, "keep-alive")
+    }
+
+    /// [`Self::finish`] for the last response on a connection: it says
+    /// `Connection: close`.
+    pub fn finish_close(&mut self, status: u16) -> &str {
+        self.render(status, "close")
+    }
+
+    fn render(&mut self, status: u16, connection: &str) -> &str {
         let (reason, allow) = match status {
             200 => ("OK", ""),
             400 => ("Bad Request", ""),
@@ -146,7 +180,7 @@ impl ResponseBuf {
         self.head.clear();
         let _ = write!(
             self.head,
-            "HTTP/1.1 {status} {reason}\r\n{allow}Content-Type: application/json\r\nContent-Length: {}\r\nConnection: keep-alive\r\n\r\n",
+            "HTTP/1.1 {status} {reason}\r\n{allow}Content-Type: application/json\r\nContent-Length: {}\r\nConnection: {connection}\r\n\r\n",
             self.body.len()
         );
         self.head.push_str(&self.body);
@@ -211,6 +245,31 @@ mod tests {
     }
 
     #[test]
+    fn bodies_are_declared_by_length_or_transfer_encoding() {
+        let head = |headers: &str| format!("POST /predict HTTP/1.1\r\n{headers}\r\n");
+        for with_body in [
+            "Content-Length: 5\r\n",
+            "content-length:5\r\n",
+            "Host: x\r\nCONTENT-LENGTH: 12\r\n",
+            "Transfer-Encoding: chunked\r\n",
+            "Content-Length: five\r\n",
+            "Content-Length: -1\r\n",
+        ] {
+            assert!(declares_body(head(with_body).as_bytes()), "{with_body:?}");
+        }
+        for without in [
+            "",
+            "Host: x\r\n",
+            "Content-Length: 0\r\n",
+            "X-Content-Length: 9\r\n",
+        ] {
+            assert!(!declares_body(head(without).as_bytes()), "{without:?}");
+        }
+        // The request line is not a header, whatever it contains.
+        assert!(!declares_body(b"GET /content-length:9 HTTP/1.1\r\n\r\n"));
+    }
+
+    #[test]
     fn response_buf_sets_exact_content_length() {
         let mut buf = ResponseBuf::default();
         buf.body_mut().push_str("{\"ok\":true}");
@@ -218,8 +277,12 @@ mod tests {
         assert!(text.starts_with("HTTP/1.1 200 OK\r\n"));
         assert!(text.contains("Content-Length: 11\r\n"));
         assert!(text.ends_with("\r\n\r\n{\"ok\":true}"));
+        assert!(text.contains("Connection: keep-alive\r\n"));
         // Reuse produces a fresh response.
         buf.body_mut().push('x');
         assert!(buf.finish(400).contains("Content-Length: 1\r\n"));
+        let last = buf.finish_close(405);
+        assert!(last.contains("Connection: close\r\n"), "{last}");
+        assert!(last.ends_with("\r\n\r\nx"), "{last}");
     }
 }

@@ -6,16 +6,18 @@
 //! contract: no frameworks, no async runtime), with three load-bearing
 //! properties:
 //!
-//! * **Micro-batched, allocation-free steady state.** Concurrent predict
-//!   requests are drained into per-shard batches and encoded onto the
-//!   workspace arena; the per-request path reuses feature buffers,
-//!   response buffers and reply slots, so a warmed-up server's request
-//!   loop stays off the allocator entirely (DESIGN.md §10 extended to
-//!   serving — see §14).
+//! * **One shared model, answered where the request was parsed.** The
+//!   published snapshot owns the one restored and prepared predictor;
+//!   every connection worker builds its request's features into its own
+//!   buffer, encodes them onto the workspace arena and calls
+//!   `forward_infer(&self, ..)` itself — no shard threads, no per-shard
+//!   replicas, no cross-thread hand-off (DESIGN.md §14). A worker serving
+//!   a loopback client moves to the CPU that client sends from, so a
+//!   request and its answer stay on one CPU.
 //! * **Deterministic answers.** Per-sample forwards are batch-size
 //!   invariant (DESIGN.md §9's per-element serial reduction chains), so
-//!   the answer to a query does not depend on which requests happened to
-//!   share its batch, on `APOTS_THREADS`, or on shard scheduling.
+//!   the answer to a query does not depend on `APOTS_THREADS` or on which
+//!   worker answered it.
 //! * **Hot-swapped models that never serve garbage.** A watcher thread
 //!   re-reads the [`apots::CheckpointStore`] through the retrying,
 //!   fault-injectable fsio plane; a candidate snapshot is fully parsed,
@@ -23,6 +25,7 @@
 //!   publishes it. A torn, mid-rotation or corrupt checkpoint is counted
 //!   (`serve.swaps_rejected`) and the previous snapshot keeps serving.
 
+mod cpu;
 pub mod http;
 pub mod server;
 pub mod snapshot;

@@ -1,11 +1,10 @@
 //! Hot-swappable model snapshots.
 //!
 //! The serving path must never observe a half-loaded model: a snapshot
-//! is fully parsed, validated and trial-restored *before* it is
-//! published, and publication is one atomic [`Arc`] pointer swap. Shard
-//! threads clone the `Arc` at batch boundaries, so an in-flight batch
-//! keeps the model it started with while the next batch picks up the
-//! new generation.
+//! is fully parsed, validated, restored and prepared *before* it is
+//! published, and publication is one atomic [`Arc`] pointer swap. Each
+//! request clones the `Arc` once, so an in-flight request keeps the model
+//! it started with while the next one picks up the new generation.
 
 use std::sync::{Arc, RwLock};
 
@@ -52,20 +51,6 @@ impl ModelSnapshot {
             fingerprint,
         })
     }
-
-    /// Rebuilds a predictor replica from this snapshot (each shard owns
-    /// its own replica; `forward` needs `&mut`).
-    ///
-    /// # Errors
-    /// Returns an error if the stored kind or shapes do not match `data`
-    /// under `preset` — the caller must keep the old replica.
-    pub fn replica(
-        &self,
-        preset: HyperPreset,
-        data: &TrafficDataset,
-    ) -> Result<Box<dyn Predictor>, String> {
-        self.checkpoint.restore(preset, data)
-    }
 }
 
 /// The streaming hash behind [`ModelSnapshot::new`].
@@ -95,50 +80,61 @@ fn fingerprint(checkpoint: &Checkpoint) -> Result<u64, String> {
     Ok(h.finish())
 }
 
-/// A [`ModelSnapshot`] paired with the serving [`InferenceMode`] —
-/// what the server actually publishes. `replica()` restores *and*
-/// prepares (quantizes weights for `Int8`), so the watcher's trial
-/// restore exercises the exact path a shard will run, and shards never
-/// pay quantization cost on the request path beyond the one-time
-/// replica build at a swap boundary.
+/// One published generation: the one predictor restored from a
+/// [`ModelSnapshot`] and prepared for the serving [`InferenceMode`]
+/// (int8 weight copies built for `Int8`), shared by every worker through
+/// `&self`. Building it is the watcher's trial restore, so a snapshot
+/// that cannot serve is refused before it is published, and no request
+/// ever pays for a restore or a quantization.
 pub struct QuantizedSnapshot {
-    /// The validated checkpoint generation.
-    pub snapshot: ModelSnapshot,
-    /// Lane every replica built from this snapshot serves on.
-    pub mode: InferenceMode,
+    version: u64,
+    fingerprint: u64,
+    mode: InferenceMode,
+    model: Box<dyn Predictor>,
 }
 
 impl QuantizedSnapshot {
-    /// Pairs a snapshot with its serving mode.
-    pub fn new(snapshot: ModelSnapshot, mode: InferenceMode) -> Self {
-        QuantizedSnapshot { snapshot, mode }
-    }
-
-    /// Generation counter (delegates to the inner snapshot).
-    pub fn version(&self) -> u64 {
-        self.snapshot.version
-    }
-
-    /// Checkpoint fingerprint (delegates to the inner snapshot).
-    pub fn fingerprint(&self) -> u64 {
-        self.snapshot.fingerprint
-    }
-
-    /// Rebuilds a **prepared** predictor replica: restore, then
-    /// `prepare(mode)` so the quantized weights exist before the first
-    /// request hits the replica.
+    /// Restores `snapshot` under `preset` against `data` and prepares it
+    /// for `mode`. The checkpoint is dropped once restored; the snapshot
+    /// keeps its generation and fingerprint.
     ///
     /// # Errors
     /// Returns an error if the stored kind or shapes do not match `data`
-    /// under `preset` — the caller must keep the old replica.
-    pub fn replica(
-        &self,
+    /// under `preset` — the caller must keep the old snapshot.
+    pub fn new(
+        snapshot: ModelSnapshot,
+        mode: InferenceMode,
         preset: HyperPreset,
         data: &TrafficDataset,
-    ) -> Result<Box<dyn Predictor>, String> {
-        let mut p = self.snapshot.replica(preset, data)?;
-        p.prepare(self.mode);
-        Ok(p)
+    ) -> Result<Self, String> {
+        let mut model = snapshot.checkpoint.restore(preset, data)?;
+        model.prepare(mode);
+        Ok(QuantizedSnapshot {
+            version: snapshot.version,
+            fingerprint: snapshot.fingerprint,
+            mode,
+            model,
+        })
+    }
+
+    /// Generation counter (1 = the snapshot the server booted with).
+    pub fn version(&self) -> u64 {
+        self.version
+    }
+
+    /// Checkpoint fingerprint (see [`ModelSnapshot::new`]).
+    pub fn fingerprint(&self) -> u64 {
+        self.fingerprint
+    }
+
+    /// Lane the model serves on.
+    pub fn mode(&self) -> InferenceMode {
+        self.mode
+    }
+
+    /// The prepared model.
+    pub fn model(&self) -> &dyn Predictor {
+        self.model.as_ref()
     }
 }
 
@@ -202,7 +198,7 @@ mod tests {
     use apots::predictor::build_predictor;
     use apots_tensor::Tensor;
     use apots_traffic::calendar::Calendar;
-    use apots_traffic::{Corridor, DataConfig, SimConfig};
+    use apots_traffic::{Corridor, DataConfig, FeatureMask, SimConfig};
 
     fn dataset() -> TrafficDataset {
         let cal = Calendar::new(8, 6, vec![]);
@@ -274,21 +270,26 @@ mod tests {
         }
     }
 
+    /// A published generation for `ck` on `mode`.
+    fn published(
+        ck: Checkpoint,
+        version: u64,
+        mode: InferenceMode,
+        data: &TrafficDataset,
+    ) -> QuantizedSnapshot {
+        let snap = ModelSnapshot::new(ck, version).unwrap();
+        QuantizedSnapshot::new(snap, mode, HyperPreset::Fast, data).unwrap()
+    }
+
     #[test]
     fn cell_swaps_atomically_and_readers_keep_their_generation() {
         let data = dataset();
         let mut p = build_predictor(PredictorKind::Fc, HyperPreset::Fast, &data, 1);
-        let boot = QuantizedSnapshot::new(
-            ModelSnapshot::new(Checkpoint::capture(p.as_mut()), 1).unwrap(),
-            InferenceMode::Exact,
-        );
-        let cell = SnapshotCell::new(boot);
+        let ck = Checkpoint::capture(p.as_mut());
+        let cell = SnapshotCell::new(published(ck.clone(), 1, InferenceMode::Exact, &data));
         let held = cell.load();
         assert_eq!(held.version(), 1);
-        cell.store(QuantizedSnapshot::new(
-            ModelSnapshot::new(Checkpoint::capture(p.as_mut()), 2).unwrap(),
-            InferenceMode::Exact,
-        ));
+        cell.store(published(ck, 2, InferenceMode::Exact, &data));
         assert_eq!(cell.load().version(), 2);
         assert_eq!(held.version(), 1, "existing readers keep their snapshot");
     }
@@ -297,13 +298,13 @@ mod tests {
     fn quantized_replica_prepares_and_still_rejects_mismatches() {
         let data = dataset();
         let mut p = build_predictor(PredictorKind::Hybrid, HyperPreset::Fast, &data, 9);
-        let snap = QuantizedSnapshot::new(
-            ModelSnapshot::new(Checkpoint::capture(p.as_mut()), 1).unwrap(),
-            InferenceMode::Int8,
-        );
-        assert!(snap.replica(HyperPreset::Fast, &data).is_ok());
+        let ck = Checkpoint::capture(p.as_mut());
+        let snap = published(ck.clone(), 1, InferenceMode::Int8, &data);
+        assert_eq!(snap.mode(), InferenceMode::Int8);
+        assert_eq!(snap.model().kind(), PredictorKind::Hybrid);
+        let wrong = ModelSnapshot::new(ck, 1).unwrap();
         assert!(
-            snap.replica(HyperPreset::Paper, &data).is_err(),
+            QuantizedSnapshot::new(wrong, InferenceMode::Int8, HyperPreset::Paper, &data).is_err(),
             "trial restore must still catch shape mismatches in int8 mode"
         );
     }
@@ -329,14 +330,27 @@ mod tests {
         assert!(checkpoint_from_payload(&Json::parse("{}").unwrap()).is_err());
     }
 
+    /// The published model answers exactly as the predictor the
+    /// checkpoint was captured from.
     #[test]
     fn replica_restores_and_rejects_mismatched_data() {
         let data = dataset();
         let mut p = build_predictor(PredictorKind::Cnn, HyperPreset::Fast, &data, 5);
-        let snap = ModelSnapshot::new(Checkpoint::capture(p.as_mut()), 1).unwrap();
-        assert!(snap.replica(HyperPreset::Fast, &data).is_ok());
+        let ck = Checkpoint::capture(p.as_mut());
+        let snap = published(ck.clone(), 1, InferenceMode::Exact, &data);
+        let (input, _) = apots::encode::encode_inputs(
+            p.kind(),
+            &data,
+            &data.test_samples()[..3],
+            FeatureMask::BOTH,
+        );
+        assert_eq!(
+            snap.model().forward_infer(&input, InferenceMode::Exact),
+            p.forward_infer(&input, InferenceMode::Exact)
+        );
+        let wrong = ModelSnapshot::new(ck, 1).unwrap();
         assert!(
-            snap.replica(HyperPreset::Paper, &data).is_err(),
+            QuantizedSnapshot::new(wrong, InferenceMode::Exact, HyperPreset::Paper, &data).is_err(),
             "wrong preset must be a structured error"
         );
     }

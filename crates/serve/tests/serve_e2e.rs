@@ -10,7 +10,10 @@
 //! * a checkpoint holding NaN/±inf is refused with a structured error,
 //!   at boot and on reload;
 //! * query validation 400s instead of clamping or panicking, and a
-//!   non-GET method 405s.
+//!   non-GET method 405s;
+//! * keep-alive framing: pipelined requests are all answered in order,
+//!   and a request that declares a body is answered, then the
+//!   connection is closed.
 //!
 //! The process-global knobs touched here (fault backend, thread pool,
 //! telemetry) force every test in this binary through one lock.
@@ -532,8 +535,8 @@ fn batch_composition_does_not_change_answers() {
     let ck = checkpoint(&data, PredictorKind::Cnn, 23);
     let queries = storm(&data, 96, 0x5EED);
 
-    // Highly concurrent (large batches likely) vs. strictly sequential
-    // (every batch is a singleton): identical bytes either way.
+    // More clients than workers, all at once, vs. one client at a time:
+    // identical bytes either way.
     let server = start_server(&data, ck.clone(), None);
     let concurrent = run_storm(server.addr(), &queries, 8);
     server.shutdown();
@@ -542,5 +545,87 @@ fn batch_composition_does_not_change_answers() {
     let sequential = run_storm(server.addr(), &queries, 1);
     server.shutdown();
 
-    assert_eq!(concurrent, sequential, "micro-batching must be invisible");
+    assert_eq!(concurrent, sequential, "concurrency must be invisible");
+}
+
+/// Reads `n` `Content-Length`-framed responses off `stream` in order;
+/// returns each `(status, head, body)`.
+fn read_responses(stream: &mut TcpStream, n: usize) -> Vec<(u16, String, String)> {
+    let mut buf = Vec::new();
+    let mut out = Vec::new();
+    let mut chunk = [0u8; 1024];
+    while out.len() < n {
+        if let Some((status, body)) = parse_response(&buf) {
+            let head_end = buf.windows(4).position(|w| w == b"\r\n\r\n").unwrap() + 4;
+            let head = String::from_utf8(buf[..head_end].to_vec()).unwrap();
+            buf.drain(..head_end + body.len());
+            out.push((status, head, body));
+            continue;
+        }
+        let got = stream.read(&mut chunk).expect("read (timed out?)");
+        assert!(got > 0, "server closed after {} responses", out.len());
+        buf.extend_from_slice(&chunk[..got]);
+    }
+    assert!(buf.is_empty(), "unexpected bytes after the responses");
+    out
+}
+
+#[test]
+fn pipelined_requests_are_answered_in_order() {
+    let _g = GLOBAL_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let data = dataset();
+    let server = start_server(&data, checkpoint(&data, PredictorKind::Fc, 12), None);
+    let tau = data.config().alpha + data.config().beta + 5;
+    let mut stream = TcpStream::connect(server.addr()).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    // Two GETs in one write, then a third once both are answered: the
+    // connection stays usable.
+    let get = |road: usize| format!("GET /predict?road={road}&t={tau} HTTP/1.1\r\nHost: t\r\n\r\n");
+    stream
+        .write_all(format!("{}{}", get(1), get(2)).as_bytes())
+        .unwrap();
+    let answers = read_responses(&mut stream, 2);
+    stream.write_all(get(3).as_bytes()).unwrap();
+    let third = read_responses(&mut stream, 1);
+    for ((status, head, body), road) in answers.iter().chain(&third).zip([1, 2, 3]) {
+        assert_eq!(*status, 200, "{body}");
+        assert!(head.contains("Connection: keep-alive\r\n"), "{head}");
+        assert!(body.starts_with(&format!("{{\"road\":{road},")), "{body}");
+    }
+    server.shutdown();
+}
+
+#[test]
+fn a_request_with_a_body_is_answered_then_closed() {
+    let _g = GLOBAL_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let data = dataset();
+    let server = start_server(&data, checkpoint(&data, PredictorKind::Fc, 12), None);
+    let tau = data.config().alpha + data.config().beta + 5;
+    let mut stream = TcpStream::connect(server.addr()).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    // The head declares a 5-byte body that arrives only after the
+    // answer: it must not be read as the next request's head.
+    write!(
+        stream,
+        "POST /predict?road=1&t={tau} HTTP/1.1\r\nContent-Length: 5\r\n\r\n"
+    )
+    .unwrap();
+    let (status, head, body) = read_responses(&mut stream, 1).remove(0);
+    assert_eq!(status, 405, "{body}");
+    assert!(head.contains("Connection: close\r\n"), "{head}");
+    let _ = stream.write_all(b"hello");
+    let mut rest = Vec::new();
+    match stream.read_to_end(&mut rest) {
+        Ok(_) => assert!(rest.is_empty(), "bytes after close: {rest:?}"),
+        // A reset is as final as EOF; a timeout is the hang this pins.
+        Err(e) => assert_eq!(e.kind(), std::io::ErrorKind::ConnectionReset, "{e}"),
+    }
+    // The server keeps answering other connections.
+    let mut c = Client::connect(server.addr());
+    assert_eq!(c.get(&format!("/predict?road=1&t={tau}")).0, 200);
+    server.shutdown();
 }

@@ -152,7 +152,8 @@ pub fn quantize_weights(w: &Tensor) -> QTensor {
 
 /// `x · Wᵀ` on the int8 lane: `x: [m, k]` f32 activations against
 /// quantized weights `qw: [n, k]` (as built by [`quantize_weights`]),
-/// returning `[m, n]` f32.
+/// returning `[m, n]` f32. A higher-rank `x` is flattened over its
+/// leading axes (`[.., k] → [m, k]`), as in `Tensor::matmul_flat_into`.
 ///
 /// Each activation row is quantized on the fly with its own symmetric
 /// scale; products accumulate exactly in `i32`, then one
@@ -161,8 +162,9 @@ pub fn quantize_weights(w: &Tensor) -> QTensor {
 /// for any thread count and batch composition (integer accumulation has
 /// no order sensitivity).
 pub fn qmatmul(x: &Tensor, qw: &QTensor) -> Tensor {
-    assert_eq!(x.rank(), 2, "qmatmul lhs must be rank-2");
-    let (m, k) = (x.shape()[0], x.shape()[1]);
+    assert!(x.rank() >= 2, "qmatmul lhs must be rank ≥ 2");
+    let (lead, k) = x.shape().split_at(x.rank() - 1);
+    let (m, k) = (lead.iter().product::<usize>(), k[0]);
     let (n, k2) = (qw.shape()[0], qw.shape()[1]);
     assert_eq!(
         k, k2,
