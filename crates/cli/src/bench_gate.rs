@@ -34,6 +34,7 @@
 use std::path::Path;
 
 use apots_serde::atomic::write_atomic;
+use apots_serde::schema::{self, Obj};
 use apots_serde::{Json, Map};
 
 use crate::args::Args;
@@ -42,8 +43,12 @@ use crate::args::Args;
 /// 2× regression pass the two-sided check, defeating the gate.
 const MAX_TOLERANCE: f64 = 0.5;
 
-#[derive(Debug)]
-struct Metric {
+const SCHEMA: &str = "apots-bench-baselines";
+const KEYS: &str = "schema default_tolerance metrics";
+const METRIC_KEYS: &str = "file name field value tolerance exact";
+
+#[derive(Debug, PartialEq)]
+pub(crate) struct Metric {
     file: String,
     name: String,
     field: String,
@@ -52,105 +57,88 @@ struct Metric {
     exact: bool,
 }
 
-fn parse_baselines(text: &str, path: &str) -> Result<(f64, Vec<Metric>), String> {
+/// Reads a baseline file. Only [`render_baselines`] writes these, so a
+/// key it never emits (a misspelt `tolerance` or `exact`) is refused by
+/// name instead of silently falling back to a default.
+pub(crate) fn parse_baselines(text: &str, path: &str) -> Result<(f64, Vec<Metric>), String> {
     let json = Json::parse(text).map_err(|e| format!("{path}: {e}"))?;
-    let obj = json
-        .as_object()
-        .ok_or_else(|| format!("{path}: expected an object"))?;
-    match obj.get("schema").and_then(Json::as_str) {
-        Some("apots-bench-baselines") => {}
-        other => return Err(format!("{path}: bad schema {other:?}")),
+    let doc = Obj::new(&json, path)?.only(KEYS)?;
+    let schema = doc.req("schema")?.str()?;
+    if schema != SCHEMA {
+        return Err(format!(
+            "{path}: schema = {schema:?} not supported (valid: {SCHEMA:?})"
+        ));
     }
-    let default_tolerance = obj
-        .get("default_tolerance")
-        .and_then(Json::as_f64)
-        .unwrap_or(0.15);
-    check_tolerance(default_tolerance, path, "default_tolerance")?;
-    let raw = obj
-        .get("metrics")
-        .and_then(Json::as_array)
-        .ok_or_else(|| format!("{path}: missing metrics array"))?;
-    let mut metrics = Vec::with_capacity(raw.len());
-    for (i, m) in raw.iter().enumerate() {
-        let m = m
-            .as_object()
-            .ok_or_else(|| format!("{path}: metrics[{i}] is not an object"))?;
-        let get_str = |key: &str| -> Result<String, String> {
-            m.get(key)
-                .and_then(Json::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| format!("{path}: metrics[{i}] missing string {key:?}"))
-        };
-        let tolerance = m.get("tolerance").and_then(Json::as_f64);
-        if let Some(t) = tolerance {
-            check_tolerance(t, path, &format!("metrics[{i}].tolerance"))?;
-        }
-        metrics.push(Metric {
-            file: get_str("file")?,
-            name: get_str("name")?,
-            field: get_str("field")?,
-            value: m
-                .get("value")
-                .and_then(Json::as_f64)
-                .ok_or_else(|| format!("{path}: metrics[{i}] missing numeric value"))?,
-            tolerance,
-            exact: m.get("exact").and_then(Json::as_bool).unwrap_or(false),
-        });
-    }
+    let default_tolerance = match doc.opt("default_tolerance") {
+        Some(f) => check_tolerance(path, "default_tolerance", f.f64()?)?,
+        None => 0.15,
+    };
+    let metrics = doc
+        .req("metrics")?
+        .arr()?
+        .iter()
+        .enumerate()
+        .map(|(i, m)| {
+            let m = Obj::new(m, format!("{path}: metrics[{i}]"))?.only(METRIC_KEYS)?;
+            let tolerance = match m.opt("tolerance") {
+                Some(f) => Some(check_tolerance(m.ctx(), "tolerance", f.f64()?)?),
+                None => None,
+            };
+            Ok(Metric {
+                file: m.req("file")?.str()?.to_string(),
+                name: m.req("name")?.str()?.to_string(),
+                field: m.req("field")?.str()?.to_string(),
+                value: m.req("value")?.f64()?,
+                tolerance,
+                exact: m.opt("exact").map_or(Ok(false), |f| f.bool())?,
+            })
+        })
+        .collect::<Result<Vec<_>, String>>()?;
     if metrics.is_empty() {
         return Err(format!("{path}: empty metrics list"));
     }
     Ok((default_tolerance, metrics))
 }
 
-fn check_tolerance(t: f64, path: &str, what: &str) -> Result<(), String> {
-    if !(0.0..MAX_TOLERANCE).contains(&t) {
-        return Err(format!(
-            "{path}: {what} = {t} out of range [0, {MAX_TOLERANCE}) — a tolerance \
-             this loose could not catch a 2x regression"
-        ));
+/// Returns `t` if it lies in `[0, MAX_TOLERANCE)`.
+fn check_tolerance(ctx: &str, key: &str, t: f64) -> Result<f64, String> {
+    let valid = 0.0..MAX_TOLERANCE;
+    if valid.contains(&t) {
+        return Ok(t);
     }
-    Ok(())
+    Err(format!(
+        "{} — a tolerance this loose could not catch a 2x regression",
+        schema::out_of_range(ctx, key, t, &valid)
+    ))
 }
 
 /// Reads `field` of the entry named `name` from a `BENCH_*.json` file.
 ///
 /// Both bench layouts are supported: timing targets keep entries under
-/// `results`, the allocation profiler under `runs`.
+/// `results`, the allocation profiler under `runs`. Other keys (`host`,
+/// `target`, `mode`) are not the gate's to check.
 fn fresh_value(dir: &Path, metric: &Metric) -> Result<f64, String> {
-    let path = dir.join(&metric.file);
-    let text = std::fs::read_to_string(&path)
-        .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-    let json = Json::parse(&text).map_err(|e| format!("{}: {e}", path.display()))?;
-    let obj = json
-        .as_object()
-        .ok_or_else(|| format!("{}: expected an object", path.display()))?;
-    let entries = obj
-        .get("results")
-        .or_else(|| obj.get("runs"))
-        .and_then(Json::as_array)
-        .ok_or_else(|| format!("{}: no results/runs array", path.display()))?;
+    let path = dir.join(&metric.file).display().to_string();
+    let text = std::fs::read_to_string(&path).map_err(|e| format!("cannot read {path}: {e}"))?;
+    let json = Json::parse(&text).map_err(|e| format!("{path}: {e}"))?;
+    let doc = Obj::new(&json, path.as_str())?;
+    let entries = doc
+        .opt("results")
+        .or_else(|| doc.opt("runs"))
+        .ok_or_else(|| format!("{path}: no results/runs array"))?
+        .arr()?;
+    let named = |e: &&Json| e.get("name").and_then(Json::as_str) == Some(&metric.name);
     let entry = entries
         .iter()
-        .filter_map(Json::as_object)
-        .find(|e| e.get("name").and_then(Json::as_str) == Some(metric.name.as_str()))
-        .ok_or_else(|| format!("{}: no entry named {:?}", path.display(), metric.name))?;
-    entry
-        .get(&metric.field)
-        .and_then(Json::as_f64)
-        .ok_or_else(|| {
-            format!(
-                "{}: entry {:?} has no numeric field {:?}",
-                path.display(),
-                metric.name,
-                metric.field
-            )
-        })
+        .find(named)
+        .ok_or_else(|| format!("{path}: no entry named {:?}", metric.name))?;
+    let entry = Obj::new(entry, format!("{path}: entry {:?}", metric.name))?;
+    entry.req(&metric.field)?.f64()
 }
 
-fn render_baselines(default_tolerance: f64, metrics: &[Metric]) -> String {
+pub(crate) fn render_baselines(default_tolerance: f64, metrics: &[Metric]) -> String {
     let mut root = Map::new();
-    root.insert("schema".into(), Json::Str("apots-bench-baselines".into()));
+    root.insert("schema".into(), Json::Str(SCHEMA.into()));
     root.insert("default_tolerance".into(), Json::Num(default_tolerance));
     let mut arr = Vec::with_capacity(metrics.len());
     for m in metrics {
@@ -173,7 +161,6 @@ fn render_baselines(default_tolerance: f64, metrics: &[Metric]) -> String {
 
 /// Entry point for the `bench-gate` subcommand.
 pub fn run(args: &Args) -> Result<(), String> {
-    args.expect_no_positionals()?;
     let baselines_path = args.get_str("baselines").unwrap_or("bench_baselines.json");
     let dir = Path::new(args.get_str("dir").unwrap_or("."));
     let scale = args.get_f64("scale-baseline")?.unwrap_or(1.0);
@@ -184,8 +171,7 @@ pub fn run(args: &Args) -> Result<(), String> {
         .map_err(|e| format!("cannot read {baselines_path}: {e}"))?;
     let (mut default_tolerance, mut metrics) = parse_baselines(&text, baselines_path)?;
     if let Some(t) = args.get_f64("tolerance")? {
-        check_tolerance(t, "--tolerance", "value")?;
-        default_tolerance = t;
+        default_tolerance = check_tolerance("bench-gate", "--tolerance", t)?;
     }
 
     if args.has_flag("write-baseline") {
@@ -277,6 +263,54 @@ mod tests {
         let loose = BASE.replace("0.15", "0.6");
         let err = parse_baselines(&loose, "t").unwrap_err();
         assert!(err.contains("out of range"), "{err}");
+    }
+
+    /// A misspelt key used to be ignored: `"tolerence"` gated at the
+    /// default tolerance and `"exakt"` turned an exact checksum row into a
+    /// timing band. Both are refused by name with the valid keys.
+    #[test]
+    fn refuses_misspelt_keys_by_name() {
+        let metric = "(valid keys: file, name, field, value, tolerance, exact)";
+        for (from, to, err) in [
+            (
+                "\"value\": 100.0}",
+                "\"value\": 100.0, \"tolerence\": 0.3}",
+                format!("t: metrics[0]: unknown key \"tolerence\" {metric}"),
+            ),
+            (
+                "\"exact\": true",
+                "\"exakt\": true",
+                format!("t: metrics[1]: unknown key \"exakt\" {metric}"),
+            ),
+            (
+                "\"default_tolerance\"",
+                "\"default_tol\"",
+                "t: unknown key \"default_tol\" (valid keys: schema, default_tolerance, metrics)"
+                    .to_string(),
+            ),
+        ] {
+            let text = BASE.replacen(from, to, 1);
+            assert_ne!(text, BASE);
+            assert_eq!(parse_baselines(&text, "t").unwrap_err(), err);
+        }
+    }
+
+    /// The committed baseline files use only the known keys.
+    #[test]
+    fn committed_baselines_load() {
+        for (path, text) in [
+            (
+                "bench_baselines.json",
+                include_str!("../../../bench_baselines.json"),
+            ),
+            (
+                "bench_serve_baselines.json",
+                include_str!("../../../bench_serve_baselines.json"),
+            ),
+        ] {
+            let (_, metrics) = parse_baselines(text, path).unwrap();
+            assert!(metrics.len() > 10, "{path}");
+        }
     }
 
     /// Bench reports carry a `host` object next to their entries, with

@@ -25,11 +25,14 @@ use apots_serde::atomic::write_atomic;
 use apots_serde::{Json, Map};
 use apots_traffic::calendar::Calendar;
 use apots_traffic::{
-    Corridor, DataConfig, FeatureMask, ScenarioSpec, SimConfig, TrafficDataset, INTERVALS_PER_DAY,
+    interval_of_hhmm, Corridor, DataConfig, FeatureMask, ScenarioSpec, SimConfig, TrafficDataset,
+    INTERVALS_PER_DAY,
 };
 
 mod args;
 mod bench_gate;
+#[cfg(test)]
+mod reader_props;
 
 use args::Args;
 
@@ -76,8 +79,7 @@ fn usage() -> &'static str {
      \x20            checkpoints are rejected and the old model keeps\n\
      \x20            serving — see DESIGN.md §14; --quant picks the\n\
      \x20            inference lane: off = bit-exact training kernels,\n\
-     \x20            int8 = quantized weights — §15; any other option\n\
-     \x20            is refused)\n\
+     \x20            int8 = quantized weights — §15)\n\
      \x20 attack     run a θ-bounded black-box attack on a checkpoint\n\
      \x20            --model FILE [--attack random-search|greedy|spsa]\n\
      \x20            [--budget N] [--theta X] [--samples N] [--json]\n\
@@ -107,20 +109,111 @@ fn usage() -> &'static str {
      \x20            [--baselines FILE] [--dir DIR] [--tolerance T]\n\
      \x20            [--scale-baseline X] [--write-baseline]\n\
      \n\
+     every command refuses an option it does not read.\n\
+     \n\
      global options:\n\
      \x20 --threads N  pin the compute pool to N threads (default: the\n\
      \x20              APOTS_THREADS env var, else all cores; outputs are\n\
      \x20              bit-identical for any value)\n\
-     \x20 --trace FILE write a structured JSONL telemetry trace (overrides\n\
-     \x20              the APOTS_TRACE env var; tracing never changes\n\
-     \x20              numerical results)\n\
+     \x20 --trace FILE write a structured JSONL telemetry trace of a compute\n\
+     \x20              command, i.e. any but ci-timings, metrics-summary and\n\
+     \x20              bench-gate (overrides the APOTS_TRACE env var;\n\
+     \x20              tracing never changes numerical results)\n\
      \x20 APOTS_FAULTS arm the deterministic fault-injection plane for\n\
      \x20              compute commands (env var, e.g. seed=42,eio=0.2;\n\
      \x20              see DESIGN.md §13)"
 }
 
+type Handler = fn(&Args) -> Result<(), String>;
+
+/// Every subcommand: its name, the options it reads (space-separated,
+/// led by `<operands>` if it takes any), whether it computes, and its
+/// handler. Besides its own options a command accepts only the global
+/// `--threads` and, if it computes, `--trace`; anything else is refused
+/// by name before it runs. Compute commands trace and arm the fault
+/// plane; the others only read and write reports, so they must see the
+/// real filesystem and never clobber a trace they read.
+const COMMANDS: &[(&str, &str, bool, Handler)] = &[
+    ("simulate", "days seed out", true, cmd_simulate),
+    (
+        "train",
+        "kind adversarial epochs days seed preset out checkpoint-dir save-every resume",
+        true,
+        cmd_train,
+    ),
+    ("eval", "model days seed preset json", true, cmd_eval),
+    (
+        "predict",
+        "model day from to days seed preset",
+        true,
+        cmd_predict,
+    ),
+    (
+        "serve",
+        "model addr workers watch poll-ms days seed preset quant",
+        true,
+        cmd_serve,
+    ),
+    (
+        "attack",
+        "model attack budget theta samples attack-seed json days seed preset",
+        true,
+        cmd_attack,
+    ),
+    (
+        "robustness-report",
+        "epochs budget theta samples max-train-samples report-seed out require-pass days seed",
+        true,
+        cmd_robustness_report,
+    ),
+    (
+        "outage-report",
+        "epochs samples max-train-samples rates mean-duration report-seed out days seed",
+        true,
+        cmd_outage_report,
+    ),
+    (
+        "scenario",
+        "<mode> spec demo segments days seed out epochs eval-segments samples \
+         max-train-samples report-seed",
+        true,
+        cmd_scenario,
+    ),
+    ("ci-timings", "<entries> out", false, cmd_ci_timings),
+    (
+        "metrics-summary",
+        "<trace> compact",
+        false,
+        cmd_metrics_summary,
+    ),
+    (
+        "bench-gate",
+        "baselines dir tolerance scale-baseline write-baseline",
+        false,
+        bench_gate::run,
+    ),
+];
+
 fn run(argv: &[String]) -> Result<(), String> {
     let (cmd, args) = Args::parse(argv)?;
+    if matches!(cmd.as_str(), "help" | "--help" | "-h") {
+        println!("{}", usage());
+        return Ok(());
+    }
+    let &(_, options, traced, handler) = COMMANDS
+        .iter()
+        .find(|c| c.0 == cmd)
+        .ok_or_else(|| format!("unknown command {cmd:?}"))?;
+    let globals = if traced { "threads trace" } else { "threads" };
+    let accepted: Vec<&str> = options
+        .split_whitespace()
+        .chain(globals.split_whitespace())
+        .filter(|o| !o.starts_with('<'))
+        .collect();
+    args.expect_only(&accepted)?;
+    if !options.starts_with('<') {
+        args.expect_no_positionals()?;
+    }
     // Global --threads N: pins the compute pool for this invocation
     // (overrides APOTS_THREADS; 1 = exact serial path). Results are
     // bit-identical for any setting — see DESIGN.md §9 — so this is a
@@ -132,22 +225,9 @@ fn run(argv: &[String]) -> Result<(), String> {
         apots_par::set_threads(n);
     }
     // Global --trace FILE: start a telemetry session writing a JSONL
-    // trace (overrides APOTS_TRACE). Only compute commands trace —
-    // `metrics-summary` *reads* traces and must never clobber its own
-    // input. Without either knob telemetry stays disabled and every
-    // probe costs one relaxed atomic load (DESIGN.md §11).
-    let traced = matches!(
-        cmd.as_str(),
-        "simulate"
-            | "train"
-            | "eval"
-            | "predict"
-            | "attack"
-            | "robustness-report"
-            | "outage-report"
-            | "scenario"
-            | "serve"
-    );
+    // trace (overrides APOTS_TRACE). Without either knob telemetry stays
+    // disabled and every probe costs one relaxed atomic load
+    // (DESIGN.md §11).
     if traced {
         match args.get_str("trace") {
             Some(path) => apots_obs::enable(Some(std::path::PathBuf::from(path))),
@@ -156,45 +236,19 @@ fn run(argv: &[String]) -> Result<(), String> {
             }
         }
         // Global APOTS_FAULTS=<spec>: arm the deterministic
-        // fault-injection plane for this invocation (DESIGN.md §13).
-        // Compute commands only — `metrics-summary` and `bench-gate`
-        // are pure readers and must see the real filesystem. A bad
-        // spec is a hard error, not a silently-disarmed plane.
+        // fault-injection plane for this invocation (DESIGN.md §13). A
+        // bad spec is a hard error, not a silently-disarmed plane.
         if let Some(spec) = apots_faults::FaultSpec::from_env()? {
             apots_faults::arm(spec);
         }
     }
-    let result = match cmd.as_str() {
-        "simulate" => no_operands(&args, cmd_simulate),
-        "train" => no_operands(&args, cmd_train),
-        "eval" => no_operands(&args, cmd_eval),
-        "predict" => no_operands(&args, cmd_predict),
-        "serve" => no_operands(&args, cmd_serve),
-        "attack" => no_operands(&args, cmd_attack),
-        "robustness-report" => no_operands(&args, cmd_robustness_report),
-        "outage-report" => no_operands(&args, cmd_outage_report),
-        "scenario" => cmd_scenario(&args),
-        "ci-timings" => cmd_ci_timings(&args),
-        "metrics-summary" => cmd_metrics_summary(&args),
-        "bench-gate" => bench_gate::run(&args),
-        "help" | "--help" | "-h" => {
-            println!("{}", usage());
-            Ok(())
-        }
-        other => Err(format!("unknown command {other:?}")),
-    };
+    let result = handler(&args);
     if traced {
         // The trainer drains at every epoch boundary; this final drain
         // covers the other commands and the error path.
         apots_obs::drain_and_flush();
     }
     result
-}
-
-/// Runs a command with the strict `--key value` grammar (no operands).
-fn no_operands(args: &Args, f: impl FnOnce(&Args) -> Result<(), String>) -> Result<(), String> {
-    args.expect_no_positionals()?;
-    f(args)
 }
 
 fn cmd_metrics_summary(args: &Args) -> Result<(), String> {
@@ -354,16 +408,22 @@ fn cmd_train(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
+/// Reads the `--model` checkpoint file (`Checkpoint::from_payload`
+/// shape: a `train --out` file or a trainer payload).
+fn read_model(args: &Args) -> Result<Checkpoint, String> {
+    let path = args
+        .get_str("model")
+        .ok_or_else(|| "--model FILE is required".to_string())?;
+    let json = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+    Checkpoint::from_json(&json).map_err(|e| format!("bad checkpoint: {e}"))
+}
+
 /// Reads the `--model` checkpoint and restores it under `--preset`
 /// against the corridor `--days` / `--seed` regenerate. The options are
 /// checked before the corridor is simulated.
 fn load_model(args: &Args) -> Result<(TrafficDataset, Box<dyn apots::Predictor>), String> {
     let preset = parse_preset(args)?;
-    let path = args
-        .get_str("model")
-        .ok_or_else(|| "--model FILE is required".to_string())?;
-    let json = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    let ck = Checkpoint::from_json(&json).map_err(|e| format!("bad checkpoint: {e}"))?;
+    let ck = read_model(args)?;
     let data = build_data(args)?;
     let model = ck
         .restore(preset, &data)
@@ -504,15 +564,7 @@ fn cmd_robustness_report(args: &Args) -> Result<(), String> {
         cfg.budget
     );
     let report = robustness_report(&data, &cfg);
-    let text = report.to_string_pretty();
-    match args.get_str("out") {
-        Some(path) => {
-            write_atomic(std::path::Path::new(path), &text)
-                .map_err(|e| format!("cannot write {path}: {e}"))?;
-            println!("wrote {path}");
-        }
-        None => println!("{text}"),
-    }
+    emit_json(args, &report)?;
     let all_pass = report.get("all_pass").and_then(apots_serde::Json::as_bool);
     if args.has_flag("require-pass") && all_pass != Some(true) {
         return Err(
@@ -571,17 +623,7 @@ fn cmd_outage_report(args: &Args) -> Result<(), String> {
         cfg.epochs,
         cfg.mean_duration
     );
-    let report = degradation_report(&data, &cfg);
-    let text = report.to_string_pretty();
-    match args.get_str("out") {
-        Some(path) => {
-            write_atomic(std::path::Path::new(path), &text)
-                .map_err(|e| format!("cannot write {path}: {e}"))?;
-            println!("wrote {path}");
-        }
-        None => println!("{text}"),
-    }
-    Ok(())
+    emit_json(args, &degradation_report(&data, &cfg))
 }
 
 /// Resolves the scenario spec a `scenario` invocation works on: either
@@ -763,29 +805,12 @@ fn cmd_ci_timings(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-fn parse_hhmm(s: &str) -> Result<usize, String> {
-    let (hh, mm) = s
-        .split_once(':')
-        .ok_or_else(|| format!("bad time {s:?}, expected HH:MM"))?;
-    let h: usize = hh.parse().map_err(|_| format!("bad hour in {s:?}"))?;
-    let m: usize = mm.parse().map_err(|_| format!("bad minute in {s:?}"))?;
-    if h > 23 || m > 59 {
-        return Err(format!("time {s:?} out of range"));
-    }
-    // The corridor ticks in 5-minute intervals; flooring `06:04` to
-    // `06:00` silently would answer a different question than asked.
-    if !m.is_multiple_of(5) {
-        return Err(format!(
-            "time {s:?} is not on a 5-minute boundary (intervals are 5 minutes; \
-             use {h:02}:{:02} or {h:02}:{:02})",
-            m - m % 5,
-            (m - m % 5 + 5).min(55),
-        ));
-    }
-    Ok(h * 12 + m / 5)
-}
-
 fn cmd_predict(args: &Args) -> Result<(), String> {
+    let from = interval_of_hhmm("--from", args.get_str("from").unwrap_or("06:00"))?;
+    let to = interval_of_hhmm("--to", args.get_str("to").unwrap_or("09:00"))?;
+    if to <= from {
+        return Err("--to must be after --from".into());
+    }
     let (data, model) = load_model(args)?;
     let day = args
         .get_usize("day")?
@@ -795,11 +820,6 @@ fn cmd_predict(args: &Args) -> Result<(), String> {
         return Err(format!(
             "--day {day} out of range (simulation has {days} days)"
         ));
-    }
-    let from = parse_hhmm(args.get_str("from").unwrap_or("06:00"))?;
-    let to = parse_hhmm(args.get_str("to").unwrap_or("09:00"))?;
-    if to <= from {
-        return Err("--to must be after --from".into());
     }
     let start = day * INTERVALS_PER_DAY + from;
     let end = day * INTERVALS_PER_DAY + to;
@@ -818,17 +838,7 @@ fn cmd_predict(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// Every option `serve` reads, the global ones included.
-const SERVE_OPTIONS: &[&str] = &[
-    "model", "addr", "workers", "watch", "poll-ms", "days", "seed", "preset", "quant", "threads",
-    "trace",
-];
-
 fn cmd_serve(args: &Args) -> Result<(), String> {
-    // An option this command does not read (a typo, a knob it no longer
-    // has) must fail here, not be ignored; every option is checked before
-    // the corridor is simulated or a port bound.
-    args.expect_only(SERVE_OPTIONS)?;
     let mut cfg = apots_serve::ServeConfig {
         addr: args.get_str("addr").unwrap_or("127.0.0.1:7077").to_string(),
         preset: parse_preset(args)?,
@@ -852,11 +862,7 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
     // The boot checkpoint comes from --model (the `train --out` file);
     // --watch DIR points at a trainer's --checkpoint-dir rotation, which
     // the server then hot-follows.
-    let path = args
-        .get_str("model")
-        .ok_or_else(|| "--model FILE is required".to_string())?;
-    let json = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    let initial = Checkpoint::from_json(&json).map_err(|e| format!("bad checkpoint: {e}"))?;
+    let initial = read_model(args)?;
     let data = std::sync::Arc::new(build_data(args)?);
     let store = match args.get_str("watch") {
         Some(dir) => Some(
@@ -888,7 +894,7 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
 
 #[cfg(test)]
 mod tests {
-    use super::{parse_hhmm, parse_timing_entry, run};
+    use super::{parse_timing_entry, run, COMMANDS};
 
     fn strs(items: &[&str]) -> Vec<String> {
         items.iter().map(ToString::to_string).collect()
@@ -1032,34 +1038,54 @@ mod tests {
         }
     }
 
+    /// Every subcommand refuses an option it does not read, by name and
+    /// with the options it accepts, before it does anything else:
+    /// `simulate --sed 9` used to simulate seed 7.
     #[test]
-    fn hhmm_parses_five_minute_boundaries() {
-        assert_eq!(parse_hhmm("00:00").unwrap(), 0);
-        assert_eq!(parse_hhmm("06:05").unwrap(), 6 * 12 + 1);
-        assert_eq!(parse_hhmm("23:55").unwrap(), 287);
+    fn every_command_refuses_a_misspelt_option() {
+        for &(cmd, options, traced, _) in COMMANDS {
+            let err = run(&strs(&[cmd, "--days", "2", "--sed", "9"])).unwrap_err();
+            let first = if options.contains("days") {
+                "sed"
+            } else {
+                "days"
+            };
+            let globals = if traced {
+                "--threads, --trace)"
+            } else {
+                "--threads)"
+            };
+            assert!(
+                err.starts_with(&format!("unknown option --{first} (accepted: "))
+                    && err.ends_with(globals),
+                "{cmd}: {err}"
+            );
+        }
+        assert_eq!(
+            run(&strs(&["simulate", "--days", "2", "--sed", "9"])).unwrap_err(),
+            "unknown option --sed (accepted: --days, --seed, --out, --threads, --trace)"
+        );
+        // A command that takes no operands still refuses one.
+        let err = run(&strs(&["train", "oops"])).unwrap_err();
+        assert_eq!(err, "unexpected operand \"oops\"");
     }
 
+    /// `--from` and `--to` go through the one `"HH:MM"` parser, before
+    /// the checkpoint is read or the corridor simulated.
     #[test]
-    fn hhmm_rejects_out_of_range() {
-        assert!(parse_hhmm("24:00").unwrap_err().contains("out of range"));
-        assert!(parse_hhmm("12:60").unwrap_err().contains("out of range"));
-    }
-
-    #[test]
-    fn hhmm_rejects_off_grid_minutes_instead_of_flooring() {
-        // 06:04 used to silently mean 06:00 — the error must name the
-        // nearest valid boundaries, not guess for the user.
-        let err = parse_hhmm("06:04").unwrap_err();
-        assert!(err.contains("5-minute"), "{err}");
-        assert!(err.contains("06:00") && err.contains("06:05"), "{err}");
-        let err = parse_hhmm("23:59").unwrap_err();
-        assert!(err.contains("23:55"), "{err}");
-    }
-
-    #[test]
-    fn hhmm_rejects_malformed_strings() {
-        assert!(parse_hhmm("0600").is_err());
-        assert!(parse_hhmm("six:ten").is_err());
-        assert!(parse_hhmm("06:").is_err());
+    fn predict_refuses_a_signed_hour() {
+        let err = run(&strs(&[
+            "predict",
+            "--model",
+            "/nonexistent/m.json",
+            "--day",
+            "0",
+            "--from",
+            "+6:05",
+        ]))
+        .unwrap_err();
+        assert_eq!(err, "--from = \"+6:05\" is not an \"HH:MM\" time");
+        let err = run(&strs(&["predict", "--model", "m.json", "--to", "06:04"])).unwrap_err();
+        assert!(err.contains("use 06:00 or 06:05"), "{err}");
     }
 }

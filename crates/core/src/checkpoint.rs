@@ -5,6 +5,7 @@
 //! experiment binaries use this to avoid retraining shared models).
 
 use apots_nn::StateDict;
+use apots_serde::schema::Obj;
 use apots_serde::{Json, Map};
 use apots_traffic::TrafficDataset;
 
@@ -64,18 +65,29 @@ impl Checkpoint {
         Json::Obj(root).to_string()
     }
 
-    /// Deserializes from JSON text produced by [`Checkpoint::to_json`].
+    /// Deserializes from JSON text produced by [`Checkpoint::to_json`]
+    /// (see [`Checkpoint::from_payload`]).
     pub fn from_json(json: &str) -> Result<Self, String> {
         let value = Json::parse(json).map_err(|e| format!("Checkpoint: {e}"))?;
-        let kind = value
-            .get("kind")
-            .and_then(Json::as_str)
-            .ok_or("Checkpoint: missing \"kind\" string")?
-            .to_string();
-        let state_value = value
-            .get("state")
-            .ok_or_else(|| "Checkpoint: missing \"state\" object".to_string())?;
-        let state = StateDict::from_json(state_value).map_err(|e| format!("Checkpoint: {e}"))?;
+        Self::from_payload(&value)
+    }
+
+    /// Reads a bare model checkpoint `{"kind", "state"}` (what `apots
+    /// train --out` writes) or a full training checkpoint `{"kind",
+    /// "predictor", …}` (the trainer's `--checkpoint-dir` rotation, which a
+    /// server hot-follows). Unlike the workspace's other readers it ignores
+    /// keys it does not read: a training checkpoint carries many more.
+    ///
+    /// # Errors
+    /// Any other shape is a descriptive error, never a panic.
+    pub fn from_payload(payload: &Json) -> Result<Self, String> {
+        let doc = Obj::new(payload, "Checkpoint")?;
+        let kind = doc.req("kind")?.str()?.to_string();
+        let state = doc
+            .opt("state")
+            .or_else(|| doc.opt("predictor"))
+            .ok_or("Checkpoint: missing required key \"state\" (or \"predictor\")")?;
+        let state = StateDict::from_json(state.value()).map_err(|e| format!("Checkpoint: {e}"))?;
         Ok(Self { kind, state })
     }
 }
@@ -126,6 +138,27 @@ mod tests {
             assert_eq!(q.kind(), kind);
             assert_eq!(q.param_count(), p.param_count());
         }
+    }
+
+    #[test]
+    fn payload_round_trips_both_shapes() {
+        let data = dataset();
+        let mut p = build_predictor(PredictorKind::Lstm, HyperPreset::Fast, &data, 3);
+        let ck = Checkpoint::capture(p.as_mut());
+        // Bare shape.
+        let bare = Json::parse(&ck.to_json()).unwrap();
+        let got = Checkpoint::from_payload(&bare).unwrap();
+        assert_eq!(got.to_json(), ck.to_json());
+        // Trainer shape: "predictor" instead of "state".
+        let mut m = Map::new();
+        m.insert("kind".into(), Json::Str(ck.kind.clone()));
+        m.insert("predictor".into(), ck.state.to_json());
+        m.insert("epoch".into(), Json::Num(4.0));
+        let got = Checkpoint::from_payload(&Json::Obj(m)).unwrap();
+        assert_eq!(got.to_json(), ck.to_json());
+        // Garbage is an error, not a panic.
+        assert!(Checkpoint::from_payload(&Json::parse("{\"kind\":\"F\"}").unwrap()).is_err());
+        assert!(Checkpoint::from_payload(&Json::parse("{}").unwrap()).is_err());
     }
 
     #[test]

@@ -21,6 +21,7 @@
 
 use apots_nn::{AdamState, StateDict};
 use apots_serde::atomic::fnv1a_64;
+use apots_serde::schema::Obj;
 use apots_serde::{Json, Map};
 
 use crate::config::{PredictorKind, TrainConfig};
@@ -234,13 +235,9 @@ fn u64_str(v: u64) -> Json {
     Json::from(v.to_string())
 }
 
-fn parse_u64(value: Option<&Json>, what: &str) -> Result<u64, String> {
-    value
-        .and_then(Json::as_str)
-        .ok_or_else(|| format!("TrainCheckpoint: missing {what}"))?
-        .parse::<u64>()
-        .map_err(|e| format!("TrainCheckpoint: bad {what}: {e}"))
-}
+/// The keys [`TrainCheckpoint::to_json`] writes.
+const KEYS: &str = "epoch stopped lr_scale rollbacks fingerprint rng_state rng_inc kind predictor \
+                    p_opt discriminator d_opt stopper stats";
 
 fn stats_to_json(stats: &[EpochStats]) -> Json {
     Json::Arr(
@@ -255,27 +252,6 @@ fn stats_to_json(stats: &[EpochStats]) -> Json {
             })
             .collect(),
     )
-}
-
-fn stats_from_json(value: &Json) -> Result<Vec<EpochStats>, String> {
-    value
-        .as_array()
-        .ok_or("TrainCheckpoint: \"stats\" must be an array")?
-        .iter()
-        .enumerate()
-        .map(|(i, e)| {
-            let field = |k: &str| {
-                e.get(k)
-                    .and_then(Json::as_f32)
-                    .ok_or_else(|| format!("TrainCheckpoint: stats[{i}] missing {k:?}"))
-            };
-            Ok(EpochStats {
-                mse: field("mse")?,
-                p_loss: field("p_loss")?,
-                d_loss: field("d_loss")?,
-            })
-        })
-        .collect()
 }
 
 impl TrainCheckpoint {
@@ -317,101 +293,62 @@ impl TrainCheckpoint {
         Json::Obj(root)
     }
 
-    /// Deserializes a payload produced by [`TrainCheckpoint::to_json`].
+    /// Deserializes a payload produced by [`TrainCheckpoint::to_json`];
+    /// a key that writer never emits is refused.
     ///
     /// # Errors
     /// Returns a descriptive error on any structural problem; corrupt
     /// input never panics.
     pub fn from_json(value: &Json) -> Result<Self, String> {
-        let epoch = value
-            .get("epoch")
-            .and_then(Json::as_usize)
-            .ok_or("TrainCheckpoint: missing \"epoch\"")?;
-        let stopped = value
-            .get("stopped")
-            .and_then(Json::as_bool)
-            .ok_or("TrainCheckpoint: missing \"stopped\"")?;
-        let lr_scale = value
-            .get("lr_scale")
-            .and_then(Json::as_f32)
-            .ok_or("TrainCheckpoint: missing \"lr_scale\"")?;
-        let rollbacks = value
-            .get("rollbacks")
-            .and_then(Json::as_usize)
-            .ok_or("TrainCheckpoint: missing \"rollbacks\"")?;
-        let fingerprint = parse_u64(value.get("fingerprint"), "\"fingerprint\"")?;
+        let doc = Obj::new(value, "TrainCheckpoint")?.only(KEYS)?;
         let rng_state = (
-            parse_u64(value.get("rng_state"), "\"rng_state\"")?,
-            parse_u64(value.get("rng_inc"), "\"rng_inc\"")?,
+            doc.req("rng_state")?.u64_text()?,
+            doc.req("rng_inc")?.u64_text()?,
         );
         if rng_state.1 & 1 == 0 {
             return Err("TrainCheckpoint: rng_inc must be odd".to_string());
         }
-        let predictor_kind = value
-            .get("kind")
-            .and_then(Json::as_str)
-            .ok_or("TrainCheckpoint: missing \"kind\"")?
-            .to_string();
-        let predictor = StateDict::from_json(
-            value
-                .get("predictor")
-                .ok_or("TrainCheckpoint: missing \"predictor\"")?,
-        )
-        .map_err(|e| format!("TrainCheckpoint predictor: {e}"))?;
-        let p_opt = AdamState::from_json(
-            value
-                .get("p_opt")
-                .ok_or("TrainCheckpoint: missing \"p_opt\"")?,
-        )
-        .map_err(|e| format!("TrainCheckpoint p_opt: {e}"))?;
-        let discriminator = match value.get("discriminator") {
-            None | Some(Json::Null) => None,
-            Some(v) => Some(
-                StateDict::from_json(v)
-                    .map_err(|e| format!("TrainCheckpoint discriminator: {e}"))?,
-            ),
-        };
-        let d_opt = match value.get("d_opt") {
-            None | Some(Json::Null) => None,
-            Some(v) => {
-                Some(AdamState::from_json(v).map_err(|e| format!("TrainCheckpoint d_opt: {e}"))?)
+        let stopper = match doc.opt("stopper") {
+            None => None,
+            Some(f) => {
+                let s = f.obj()?.only("best_bits stale")?;
+                let bits = s.req("best_bits")?.usize_within(0..=u32::MAX as usize)? as u32;
+                Some((f32::from_bits(bits), s.req("stale")?.usize()?))
             }
         };
-        let stopper = match value.get("stopper") {
-            None | Some(Json::Null) => None,
-            Some(v) => {
-                let bits = v
-                    .get("best_bits")
-                    .and_then(Json::as_usize)
-                    .ok_or("TrainCheckpoint: stopper missing \"best_bits\"")?;
-                let bits = u32::try_from(bits)
-                    .map_err(|_| "TrainCheckpoint: stopper best_bits out of range".to_string())?;
-                let stale = v
-                    .get("stale")
-                    .and_then(Json::as_usize)
-                    .ok_or("TrainCheckpoint: stopper missing \"stale\"")?;
-                Some((f32::from_bits(bits), stale))
-            }
-        };
-        let stats = stats_from_json(
-            value
-                .get("stats")
-                .ok_or("TrainCheckpoint: missing \"stats\"")?,
-        )?;
+        let stats = doc.req("stats")?.arr()?.iter().enumerate().map(|(i, e)| {
+            let e =
+                Obj::new(e, format!("TrainCheckpoint stats[{i}]"))?.only("mse p_loss d_loss")?;
+            Ok(EpochStats {
+                mse: e.req("mse")?.f32()?,
+                p_loss: e.req("p_loss")?.f32()?,
+                d_loss: e.req("d_loss")?.f32()?,
+            })
+        });
         Ok(Self {
-            epoch,
-            stopped,
-            lr_scale,
-            rollbacks,
-            fingerprint,
+            epoch: doc.req("epoch")?.usize()?,
+            stopped: doc.req("stopped")?.bool()?,
+            lr_scale: doc.req("lr_scale")?.f32()?,
+            rollbacks: doc.req("rollbacks")?.usize()?,
+            fingerprint: doc.req("fingerprint")?.u64_text()?,
             rng_state,
-            predictor_kind,
-            predictor,
-            p_opt,
-            discriminator,
-            d_opt,
+            predictor_kind: doc.req("kind")?.str()?.to_string(),
+            predictor: StateDict::from_json(doc.req("predictor")?.value())
+                .map_err(|e| format!("TrainCheckpoint predictor: {e}"))?,
+            p_opt: AdamState::from_json(doc.req("p_opt")?.value())
+                .map_err(|e| format!("TrainCheckpoint p_opt: {e}"))?,
+            discriminator: doc
+                .opt("discriminator")
+                .map(|f| StateDict::from_json(f.value()))
+                .transpose()
+                .map_err(|e| format!("TrainCheckpoint discriminator: {e}"))?,
+            d_opt: doc
+                .opt("d_opt")
+                .map(|f| AdamState::from_json(f.value()))
+                .transpose()
+                .map_err(|e| format!("TrainCheckpoint d_opt: {e}"))?,
             stopper,
-            stats,
+            stats: stats.collect::<Result<_, String>>()?,
         })
     }
 }
@@ -544,6 +481,41 @@ mod tests {
         ] {
             let v = Json::parse(&bad).unwrap();
             assert!(TrainCheckpoint::from_json(&v).is_err(), "accepted {why}");
+        }
+    }
+
+    /// Only `to_json` writes these payloads, so a key it never emits is
+    /// refused, and a number that would load as an unsaveable ±inf `f32`
+    /// is refused by name.
+    #[test]
+    fn from_json_refuses_unknown_keys_and_f32_overflow() {
+        let good = sample_checkpoint().to_json().to_string();
+        for (from, to, err) in [
+            (
+                "\"epoch\":3",
+                "\"epoch\":3,\"epochs\":3",
+                "TrainCheckpoint: unknown key \"epochs\" (valid keys: epoch, stopped,",
+            ),
+            (
+                "\"stale\":0",
+                "\"stale\":0,\"best\":1",
+                "TrainCheckpoint stopper: unknown key \"best\" (valid keys: best_bits, stale)",
+            ),
+            (
+                "\"lr_scale\":0.5",
+                "\"lr_scale\":1e39",
+                "TrainCheckpoint: lr_scale = 1e39 is not finite as f32",
+            ),
+            (
+                "\"mse\":0.25",
+                "\"mse\":-1e40",
+                "TrainCheckpoint stats[1]: mse = -1e40 is not finite as f32",
+            ),
+        ] {
+            let bad = good.replacen(from, to, 1);
+            assert_ne!(bad, good);
+            let e = TrainCheckpoint::from_json(&Json::parse(&bad).unwrap()).unwrap_err();
+            assert!(e.starts_with(err), "{e}");
         }
     }
 

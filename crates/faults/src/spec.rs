@@ -12,6 +12,11 @@
 //! in a chaos schedule must not silently disable the fault it meant to
 //! arm.
 
+use apots_serde::schema;
+
+const CTX: &str = "APOTS_FAULTS";
+const KEYS: &str = "seed torn_write short_write enospc eio fsync rename";
+
 /// Per-operation fault probabilities and the PCG seed that drives them.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultSpec {
@@ -63,29 +68,31 @@ impl FaultSpec {
             }
             let (key, value) = pair
                 .split_once('=')
-                .ok_or_else(|| format!("APOTS_FAULTS: expected key=value, got {pair:?}"))?;
+                .ok_or_else(|| format!("{CTX}: expected key=value, got {pair:?}"))?;
             let (key, value) = (key.trim(), value.trim());
-            if key == "seed" {
-                spec.seed = value
-                    .parse()
-                    .map_err(|e| format!("APOTS_FAULTS: bad seed {value:?}: {e}"))?;
-                continue;
-            }
+            let slot = match key {
+                "seed" => {
+                    spec.seed = value
+                        .parse()
+                        .map_err(|e| format!("{CTX}: bad seed {value:?}: {e}"))?;
+                    continue;
+                }
+                "torn_write" => &mut spec.torn_write,
+                "short_write" => &mut spec.short_write,
+                "enospc" => &mut spec.enospc,
+                "eio" => &mut spec.eio,
+                "fsync" => &mut spec.fsync,
+                "rename" => &mut spec.rename,
+                other => return Err(schema::unknown_key(CTX, other, KEYS)),
+            };
             let p: f64 = value
                 .parse()
-                .map_err(|e| format!("APOTS_FAULTS: bad probability for {key}: {e}"))?;
-            if !(0.0..=1.0).contains(&p) {
-                return Err(format!("APOTS_FAULTS: {key}={p} outside [0, 1]"));
+                .map_err(|e| format!("{CTX}: bad probability for {key}: {e}"))?;
+            let valid = 0.0..=1.0;
+            if !valid.contains(&p) {
+                return Err(schema::out_of_range(CTX, key, p, &valid));
             }
-            match key {
-                "torn_write" => spec.torn_write = p,
-                "short_write" => spec.short_write = p,
-                "enospc" => spec.enospc = p,
-                "eio" => spec.eio = p,
-                "fsync" => spec.fsync = p,
-                "rename" => spec.rename = p,
-                other => return Err(format!("APOTS_FAULTS: unknown key {other:?}")),
-            }
+            *slot = p;
         }
         Ok(spec)
     }
@@ -145,5 +152,18 @@ mod tests {
         assert!(FaultSpec::parse("eio=-0.1").is_err());
         assert!(FaultSpec::parse("seed=banana").is_err());
         assert!(FaultSpec::parse("eio").is_err());
+    }
+
+    #[test]
+    fn errors_name_the_key_and_the_valid_set() {
+        assert_eq!(
+            FaultSpec::parse("warp_drive=1.5").unwrap_err(),
+            "APOTS_FAULTS: unknown key \"warp_drive\" \
+             (valid keys: seed, torn_write, short_write, enospc, eio, fsync, rename)"
+        );
+        assert_eq!(
+            FaultSpec::parse("seed=1,eio=1.5").unwrap_err(),
+            "APOTS_FAULTS: eio = 1.5 out of range (valid: 0..=1)"
+        );
     }
 }

@@ -5,6 +5,7 @@
 //! `step` with the same `params_mut()` ordering every time (which layer
 //! containers guarantee).
 
+use apots_serde::schema::Obj;
 use apots_serde::{Json, Map};
 use apots_tensor::Tensor;
 
@@ -134,19 +135,18 @@ impl AdamState {
         Json::Obj(root)
     }
 
-    /// Deserializes a value produced by [`AdamState::to_json`].
+    /// Deserializes a value produced by [`AdamState::to_json`]; a key
+    /// that writer never emits is refused.
     pub fn from_json(value: &Json) -> Result<Self, String> {
-        let t = value
-            .get("t")
-            .and_then(Json::as_str)
-            .ok_or("AdamState: missing \"t\" string")?
-            .parse::<u64>()
-            .map_err(|e| format!("AdamState: bad \"t\": {e}"))?;
-        let m = StateDict::from_json(value.get("m").ok_or("AdamState: missing \"m\"")?)
-            .map_err(|e| format!("AdamState m: {e}"))?;
-        let v = StateDict::from_json(value.get("v").ok_or("AdamState: missing \"v\"")?)
-            .map_err(|e| format!("AdamState v: {e}"))?;
-        Ok(Self { t, m, v })
+        let doc = Obj::new(value, "AdamState")?.only("t m v")?;
+        let moments = |key| {
+            StateDict::from_json(doc.req(key)?.value()).map_err(|e| format!("AdamState {key}: {e}"))
+        };
+        Ok(Self {
+            t: doc.req("t")?.u64_text()?,
+            m: moments("m")?,
+            v: moments("v")?,
+        })
     }
 }
 

@@ -7,6 +7,7 @@
 //! […]}, …]}`, so a checkpoint round-trips losslessly (floats are written
 //! with Rust's shortest round-trip formatting).
 
+use apots_serde::schema::Obj;
 use apots_serde::{Json, Map};
 use apots_tensor::Tensor;
 
@@ -112,16 +113,16 @@ impl StateDict {
         Json::Obj(root)
     }
 
-    /// Deserializes from a JSON value produced by [`StateDict::to_json`].
+    /// Deserializes from a JSON value produced by [`StateDict::to_json`];
+    /// a key that writer never emits is refused.
     pub fn from_json(value: &Json) -> Result<Self, String> {
-        let tensors = value
-            .get("tensors")
-            .and_then(Json::as_array)
-            .ok_or("StateDict: missing \"tensors\" array")?;
-        let tensors = tensors
+        let doc = Obj::new(value, "StateDict")?.only("tensors")?;
+        let tensors = doc
+            .req("tensors")?
+            .arr()?
             .iter()
             .enumerate()
-            .map(|(i, t)| tensor_from_json(t).map_err(|e| format!("tensor {i}: {e}")))
+            .map(|(i, t)| tensor_from_json(t, format!("tensor {i}")))
             .collect::<Result<Vec<_>, _>>()?;
         Ok(Self { tensors })
     }
@@ -138,34 +139,29 @@ fn tensor_to_json(t: &Tensor) -> Json {
 /// Parses one tensor, validating shape/data consistency and finiteness:
 /// a number outside the `f32` range (e.g. `1e39`) would narrow to ±inf,
 /// so it is refused by index.
-fn tensor_from_json(value: &Json) -> Result<Tensor, String> {
-    let shape = value
-        .get("shape")
-        .and_then(Json::as_array)
-        .ok_or("missing \"shape\"")?
+fn tensor_from_json(value: &Json, ctx: String) -> Result<Tensor, String> {
+    let t = Obj::new(value, ctx)?.only("shape data")?;
+    let ctx = t.ctx();
+    let dims = t.req("shape")?.arr()?.iter().map(Json::as_usize);
+    let shape: Vec<usize> = dims
+        .collect::<Option<_>>()
+        .ok_or_else(|| format!("{ctx}: shape must hold non-negative integers"))?;
+    let data = t.req("data")?.arr()?.iter().enumerate().map(|(j, v)| {
+        let x = v
+            .as_f64()
+            .ok_or_else(|| format!("{ctx}: element {j} is not a number"))?;
+        Some(x as f32)
+            .filter(|x| x.is_finite())
+            .ok_or_else(|| format!("{ctx}: element {j} ({x:e}) is not finite as f32"))
+    });
+    let data = data.collect::<Result<Vec<_>, _>>()?;
+    let expected = shape
         .iter()
-        .map(|v| v.as_usize().ok_or("non-integer dimension"))
-        .collect::<Result<Vec<_>, _>>()?;
-    let data = value
-        .get("data")
-        .and_then(Json::as_array)
-        .ok_or("missing \"data\"")?
-        .iter()
-        .enumerate()
-        .map(|(j, v)| {
-            let x = v.as_f64().ok_or("non-numeric element")?;
-            let x32 = x as f32;
-            if x32.is_finite() {
-                Ok(x32)
-            } else {
-                Err(format!("element {j} ({x:e}) is not finite as f32"))
-            }
-        })
-        .collect::<Result<Vec<_>, _>>()?;
-    let expected: usize = shape.iter().product();
+        .try_fold(1usize, |n, &d| n.checked_mul(d))
+        .ok_or_else(|| format!("{ctx}: shape {shape:?} overflows usize"))?;
     if data.len() != expected {
         return Err(format!(
-            "shape {shape:?} expects {expected} values, found {}",
+            "{ctx}: shape {shape:?} expects {expected} values, found {}",
             data.len()
         ));
     }

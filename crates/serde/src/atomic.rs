@@ -25,6 +25,7 @@
 use std::io;
 use std::path::Path;
 
+use crate::schema::Obj;
 use crate::{fsio, Json, Map};
 
 /// Envelope magic string; bump [`ENVELOPE_VERSION`] on layout changes.
@@ -132,35 +133,28 @@ pub fn seal(payload: Json) -> Json {
 ///
 /// # Errors
 /// Returns a descriptive error when the document is not valid JSON
-/// (e.g. a torn write), is not an envelope, declares an unknown
-/// version, or fails the checksum (flipped byte, truncation that still
-/// parses, hand edits).
+/// (e.g. a torn write), is not an envelope (a key missing, or one
+/// [`seal`] never writes), declares an unknown version, or fails the
+/// checksum (flipped byte, truncation that still parses, hand edits).
 pub fn unseal(text: &str) -> Result<Json, String> {
     let doc = Json::parse(text).map_err(|e| format!("envelope: unparseable ({e})"))?;
-    let format = doc
-        .get("format")
-        .and_then(Json::as_str)
-        .ok_or("envelope: missing \"format\"")?;
+    let env = Obj::new(&doc, "envelope")?.only("format version checksum payload")?;
+    let format = env.req("format")?.str()?;
     if format != ENVELOPE_FORMAT {
-        return Err(format!("envelope: unknown format {format:?}"));
+        return Err(format!(
+            "envelope: format = {format:?} not supported (valid: {ENVELOPE_FORMAT:?})"
+        ));
     }
-    let version = doc
-        .get("version")
-        .and_then(Json::as_usize)
-        .ok_or("envelope: missing \"version\"")?;
-    if version as u64 != ENVELOPE_VERSION {
-        return Err(format!("envelope: unsupported version {version}"));
+    let version = env.req("version")?.u64()?;
+    if version != ENVELOPE_VERSION {
+        return Err(format!(
+            "envelope: version = {version} not supported (valid: {ENVELOPE_VERSION})"
+        ));
     }
-    let declared = doc
-        .get("checksum")
-        .and_then(Json::as_str)
-        .ok_or("envelope: missing \"checksum\"")?;
+    let declared = env.req("checksum")?.str()?;
     let declared = u64::from_str_radix(declared, 16)
-        .map_err(|e| format!("envelope: malformed checksum: {e}"))?;
-    let payload = doc
-        .get("payload")
-        .ok_or("envelope: missing \"payload\"")?
-        .clone();
+        .map_err(|e| format!("envelope: checksum = {declared:?} is not hex: {e}"))?;
+    let payload = env.req("payload")?.value().clone();
     let actual = fnv1a_64(payload.to_string().as_bytes());
     if actual != declared {
         return Err(format!(
@@ -270,6 +264,16 @@ mod tests {
         ] {
             assert!(unseal(bad).is_err(), "accepted {bad:?}");
         }
+    }
+
+    #[test]
+    fn unseal_refuses_keys_seal_never_writes() {
+        let sealed = seal(json!({"k": 1i32})).to_string();
+        let extra = sealed.replacen('{', r#"{"signed":true,"#, 1);
+        assert_eq!(
+            unseal(&extra).unwrap_err(),
+            "envelope: unknown key \"signed\" (valid keys: format, version, checksum, payload)"
+        );
     }
 
     #[test]

@@ -15,7 +15,9 @@
 //!   Rust's shortest round-trip float formatting, so
 //!   `f32 → JSON → f32` is lossless and save→load→save is
 //!   byte-identical;
-//! * the [`json!`] macro for literal construction.
+//! * the [`json!`] macro for literal construction;
+//! * [`schema`] — the strict field access every document reader uses
+//!   (unknown keys, missing keys, types and ranges refused by name).
 //!
 //! **Non-values:** JSON has no NaN/Infinity. Writers *panic* on
 //! non-finite numbers rather than silently emitting `null` — a
@@ -26,6 +28,7 @@ use std::fmt;
 pub mod atomic;
 pub mod fsio;
 mod parse;
+pub mod schema;
 
 pub use parse::Error;
 
@@ -144,11 +147,6 @@ impl Json {
             Json::Num(n) => Some(*n),
             _ => None,
         }
-    }
-
-    /// The number narrowed to `f32`, if this is a number.
-    pub fn as_f32(&self) -> Option<f32> {
-        self.as_f64().map(|v| v as f32)
     }
 
     /// The number as a `usize`, if it is a non-negative integer.
@@ -460,7 +458,7 @@ mod tests {
                 continue;
             }
             let text = Json::from(v).to_string();
-            let back = Json::parse(&text).unwrap().as_f32().unwrap();
+            let back = Json::parse(&text).unwrap().as_f64().unwrap() as f32;
             assert_eq!(v.to_bits(), back.to_bits(), "{v} → {text} → {back}");
         }
     }

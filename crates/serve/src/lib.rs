@@ -32,4 +32,4 @@ pub mod snapshot;
 
 pub use http::{Request, ResponseBuf};
 pub use server::{ServeConfig, Server};
-pub use snapshot::{checkpoint_from_payload, ModelSnapshot, QuantizedSnapshot, SnapshotCell};
+pub use snapshot::{ModelSnapshot, QuantizedSnapshot, SnapshotCell};

@@ -37,7 +37,7 @@ use apots_traffic::{FeatureMask, SampleFeatures, TrafficDataset};
 
 use crate::cpu;
 use crate::http::{declares_body, read_head, Request, ResponseBuf, METHOD_NOT_ALLOWED};
-use crate::snapshot::{checkpoint_from_payload, ModelSnapshot, QuantizedSnapshot, SnapshotCell};
+use crate::snapshot::{ModelSnapshot, QuantizedSnapshot, SnapshotCell};
 
 /// Tuning knobs for one server instance.
 #[derive(Debug, Clone)]
@@ -454,7 +454,7 @@ fn try_reload(s: &Shared, store: &CheckpointStore) -> Result<bool, String> {
         // Torn latest + torn prev, or an unreadable store: keep serving.
         Err(e) => return reject(e),
     };
-    let ck = match checkpoint_from_payload(&payload) {
+    let ck = match Checkpoint::from_payload(&payload) {
         Ok(ck) => ck,
         Err(e) => return reject(e),
     };

@@ -12,9 +12,7 @@ use apots::checkpoint::Checkpoint;
 use apots::config::HyperPreset;
 use apots::predictor::Predictor;
 use apots::InferenceMode;
-use apots_nn::state::StateDict;
 use apots_serde::atomic::Fnv1a;
-use apots_serde::Json;
 use apots_traffic::TrafficDataset;
 
 /// One published model generation.
@@ -164,38 +162,12 @@ impl SnapshotCell {
     }
 }
 
-/// Extracts a [`Checkpoint`] from a checkpoint-store payload.
-///
-/// Two payload shapes are accepted:
-/// * a bare model checkpoint `{"kind": .., "state": ..}` (what
-///   `apots-cli train --out` writes and the serve tests save), and
-/// * a full training checkpoint `{"kind": .., "predictor": .., ..}`
-///   (what the trainer's `--checkpoint-dir` rotation writes), so a
-///   server can hot-follow a live training run.
-///
-/// # Errors
-/// Returns a descriptive error for any other shape — the watcher treats
-/// it as a rejected swap, never as a panic.
-pub fn checkpoint_from_payload(payload: &Json) -> Result<Checkpoint, String> {
-    let kind = payload
-        .get("kind")
-        .and_then(Json::as_str)
-        .ok_or("checkpoint payload: missing \"kind\"")?
-        .to_string();
-    let state_value = payload
-        .get("state")
-        .or_else(|| payload.get("predictor"))
-        .ok_or("checkpoint payload: missing \"state\"/\"predictor\"")?;
-    let state =
-        StateDict::from_json(state_value).map_err(|e| format!("checkpoint payload: {e}"))?;
-    Ok(Checkpoint { kind, state })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use apots::config::PredictorKind;
     use apots::predictor::build_predictor;
+    use apots_nn::state::StateDict;
     use apots_tensor::Tensor;
     use apots_traffic::calendar::Calendar;
     use apots_traffic::{Corridor, DataConfig, FeatureMask, SimConfig};
@@ -307,27 +279,6 @@ mod tests {
             QuantizedSnapshot::new(wrong, InferenceMode::Int8, HyperPreset::Paper, &data).is_err(),
             "trial restore must still catch shape mismatches in int8 mode"
         );
-    }
-
-    #[test]
-    fn payload_round_trips_both_shapes() {
-        let data = dataset();
-        let mut p = build_predictor(PredictorKind::Lstm, HyperPreset::Fast, &data, 3);
-        let ck = Checkpoint::capture(p.as_mut());
-        // Bare shape.
-        let bare = Json::parse(&ck.to_json()).unwrap();
-        let got = checkpoint_from_payload(&bare).unwrap();
-        assert_eq!(got.to_json(), ck.to_json());
-        // Trainer shape: "predictor" instead of "state".
-        let mut m = apots_serde::Map::new();
-        m.insert("kind".into(), Json::Str(ck.kind.clone()));
-        m.insert("predictor".into(), ck.state.to_json());
-        m.insert("epoch".into(), Json::Num(4.0));
-        let got = checkpoint_from_payload(&Json::Obj(m)).unwrap();
-        assert_eq!(got.to_json(), ck.to_json());
-        // Garbage is an error, not a panic.
-        assert!(checkpoint_from_payload(&Json::parse("{\"kind\":\"F\"}").unwrap()).is_err());
-        assert!(checkpoint_from_payload(&Json::parse("{}").unwrap()).is_err());
     }
 
     /// The published model answers exactly as the predictor the

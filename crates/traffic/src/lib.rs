@@ -59,3 +59,120 @@ pub use weather::Weather;
 
 /// Number of 5-minute intervals per day.
 pub const INTERVALS_PER_DAY: usize = 288;
+
+/// The `"HH:MM"` form of an interval-of-day.
+pub fn fmt_hhmm(interval: usize) -> String {
+    format!("{:02}:{:02}", interval / 12, interval % 12 * 5)
+}
+
+/// Parses an `"HH:MM"` time of day — exactly two ASCII digits either
+/// side of the colon — into its interval-of-day. The time must lie on the
+/// 5-minute grid: flooring `06:04` to `06:00` would answer a different
+/// question than asked, so the error names both neighbours instead.
+/// Errors read `{what} = "…" …`.
+pub fn interval_of_hhmm(what: &str, s: &str) -> Result<usize, String> {
+    let two_digits = |t: &str| match *t.as_bytes() {
+        [hi @ b'0'..=b'9', lo @ b'0'..=b'9'] => {
+            Some(usize::from(hi - b'0') * 10 + usize::from(lo - b'0'))
+        }
+        _ => None,
+    };
+    let parsed = s
+        .split_once(':')
+        .and_then(|(hh, mm)| Some((two_digits(hh)?, two_digits(mm)?)));
+    let Some((h, m)) = parsed else {
+        return Err(format!("{what} = {s:?} is not an \"HH:MM\" time"));
+    };
+    if h > 23 || m > 59 {
+        return Err(format!(
+            "{what} = {s:?} out of range (valid: 00:00..=23:55)"
+        ));
+    }
+    if !m.is_multiple_of(5) {
+        return Err(format!(
+            "{what} = {s:?} is not on a 5-minute boundary (intervals are \
+             5 minutes; use {h:02}:{:02} or {h:02}:{:02})",
+            m - m % 5,
+            (m - m % 5 + 5).min(55),
+        ));
+    }
+    Ok(h * 12 + m / 5)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn hhmm_parses_five_minute_boundaries() {
+        assert_eq!(interval_of_hhmm("t", "00:00").unwrap(), 0);
+        assert_eq!(interval_of_hhmm("t", "06:05").unwrap(), 6 * 12 + 1);
+        assert_eq!(interval_of_hhmm("t", "23:55").unwrap(), 287);
+        for interval in 0..INTERVALS_PER_DAY {
+            assert_eq!(interval_of_hhmm("t", &fmt_hhmm(interval)), Ok(interval));
+        }
+    }
+
+    #[test]
+    fn hhmm_rejects_out_of_range() {
+        assert!(interval_of_hhmm("t", "24:00")
+            .unwrap_err()
+            .contains("out of range"));
+        assert!(interval_of_hhmm("t", "12:60")
+            .unwrap_err()
+            .contains("out of range"));
+    }
+
+    #[test]
+    fn hhmm_rejects_off_grid_minutes_instead_of_flooring() {
+        // 06:04 used to silently mean 06:00 — the error must name the
+        // nearest valid boundaries, not guess for the user.
+        let err = interval_of_hhmm("t", "06:04").unwrap_err();
+        assert!(err.contains("5-minute"), "{err}");
+        assert!(err.contains("06:00") && err.contains("06:05"), "{err}");
+        let err = interval_of_hhmm("t", "23:59").unwrap_err();
+        assert!(err.contains("23:55"), "{err}");
+    }
+
+    #[test]
+    fn hhmm_rejects_malformed_strings() {
+        assert!(interval_of_hhmm("t", "0600").is_err());
+        assert!(interval_of_hhmm("t", "six:ten").is_err());
+        assert!(interval_of_hhmm("t", "06:").is_err());
+    }
+
+    /// The grammar is exactly two ASCII digits either side of one colon;
+    /// `usize::from_str` used to let a sign, a short field and extra
+    /// digits through.
+    #[test]
+    fn hhmm_grammar_is_two_ascii_digits_each_side() {
+        let not_hhmm = |s: &str| format!("--from = {s:?} is not an \"HH:MM\" time");
+        for s in [
+            "+6:05", "6:05", "6:5", "06:5", "006:05", "06:005", "-1:00", " 06:05", "06:05 ",
+            "06:05:00", "06-05", "０6:05", "", ":",
+        ] {
+            assert_eq!(interval_of_hhmm("--from", s), Err(not_hhmm(s)), "{s:?}");
+        }
+        for (s, text) in [
+            ("24:00", "out of range (valid: 00:00..=23:55)"),
+            (
+                "08:03",
+                "is not on a 5-minute boundary (intervals are 5 minutes; use 08:00 or 08:05)",
+            ),
+            (
+                "06:04",
+                "is not on a 5-minute boundary (intervals are 5 minutes; use 06:00 or 06:05)",
+            ),
+            (
+                "23:59",
+                "is not on a 5-minute boundary (intervals are 5 minutes; use 23:55 or 23:55)",
+            ),
+        ] {
+            assert_eq!(
+                interval_of_hhmm("--from", s),
+                Err(format!("--from = {s:?} {text}"))
+            );
+        }
+        assert_eq!(interval_of_hhmm("--from", "08:00"), Ok(96));
+    }
+}

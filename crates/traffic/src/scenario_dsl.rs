@@ -7,25 +7,28 @@
 //! windows, both landing in the PR-7 [`OutagePlan`]) and holiday
 //! super-peaks (a day marked as a holiday whose demand is multiplied).
 //!
-//! Parsing is strict: unknown keys are rejected *naming the key and the
-//! valid key set*, and out-of-range values are rejected *naming the key
-//! and the valid range*, following the `parse_hhmm` precedent in
-//! `apots-cli`. Times are `"HH:MM"` strings on the 5-minute interval
-//! grid.
+//! Parsing is strict and goes through `apots_serde::schema`, the reader
+//! every document of the workspace uses: unknown keys are rejected
+//! *naming the key and the valid key set*, and out-of-range values are
+//! rejected *naming the key and the valid range*. Times are `"HH:MM"`
+//! strings on the 5-minute interval grid, read by
+//! [`interval_of_hhmm`](crate::interval_of_hhmm), the parser
+//! `apots predict --from/--to` uses too.
 //!
 //! [`ScenarioCorpus::generate`] resolves a spec against the seeded
 //! topology ([`NetworkTopology`]) and runs the network dynamics; the
 //! whole corpus rides the in-house PCG, so a spec is a byte-reproducible,
 //! thread-invariant name for gigabytes of traffic.
 
-use apots_serde::{json, Json, Map};
+use apots_serde::schema::{Field, Obj};
+use apots_serde::{json, Json};
 
 use crate::calendar::Calendar;
 use crate::dataset::{DataConfig, TrafficDataset};
 use crate::incidents::{Incident, IncidentKind};
 use crate::network::{NetworkConfig, NetworkForcing, NetworkTopology, RoadNetwork};
 use crate::outage::{OutageConfig, OutagePlan, OutageView};
-use crate::INTERVALS_PER_DAY;
+use crate::{fmt_hhmm, interval_of_hhmm, INTERVALS_PER_DAY};
 
 /// One event of a scenario. Times are interval indices within the day.
 #[derive(Debug, Clone, PartialEq)]
@@ -113,274 +116,134 @@ pub struct ScenarioSpec {
 /// The document's `schema` tag.
 pub const SCENARIO_SCHEMA: &str = "apots-scenario";
 
-const TOP_KEYS: &[&str] = &[
-    "schema",
-    "name",
-    "seed",
-    "days",
-    "segments",
-    "corridor_len",
-    "events",
-];
-const ACCIDENT_KEYS: &[&str] = &[
-    "type",
-    "segment",
-    "day",
-    "start",
-    "severity",
-    "duration_min",
-    "cascade",
-    "cascade_delay_min",
-];
-const CITY_KEYS: &[&str] = &["type", "segment", "day", "start", "end", "radius", "demand"];
-const OUTAGE_KEYS: &[&str] = &["type", "rate", "mean_duration_min", "seed"];
-const WINDOW_KEYS: &[&str] = &["type", "segment", "day", "start", "end"];
-const PEAK_KEYS: &[&str] = &["type", "day", "amp"];
-
-fn reject_unknown(map: &Map, valid: &[&str], ctx: &str) -> Result<(), String> {
-    for (key, _) in map.iter() {
-        if !valid.contains(&key) {
-            return Err(format!(
-                "{ctx}: unknown key {key:?} (valid keys: {})",
-                valid.join(", ")
-            ));
-        }
-    }
-    Ok(())
-}
-
-fn require<'a>(map: &'a Map, key: &str, ctx: &str) -> Result<&'a Json, String> {
-    map.get(key)
-        .ok_or_else(|| format!("{ctx}: missing required key {key:?}"))
-}
-
-fn usize_in(map: &Map, key: &str, lo: usize, hi: usize, ctx: &str) -> Result<usize, String> {
-    let v = require(map, key, ctx)?
-        .as_usize()
-        .ok_or_else(|| format!("{ctx}: {key} must be a non-negative integer"))?;
-    if !(lo..=hi).contains(&v) {
-        return Err(format!(
-            "{ctx}: {key} = {v} out of range (valid: {lo}..={hi})"
-        ));
-    }
-    Ok(v)
-}
-
-fn f64_in(map: &Map, key: &str, lo: f64, hi: f64, ctx: &str) -> Result<f64, String> {
-    let v = require(map, key, ctx)?
-        .as_f64()
-        .ok_or_else(|| format!("{ctx}: {key} must be a number"))?;
-    if !(v >= lo && v <= hi) {
-        return Err(format!(
-            "{ctx}: {key} = {v} out of range (valid: {lo}..={hi})"
-        ));
-    }
-    Ok(v)
-}
-
-fn u64_of(map: &Map, key: &str, ctx: &str) -> Result<u64, String> {
-    let v = require(map, key, ctx)?;
-    match v.as_f64() {
-        Some(n) if n >= 0.0 && n.fract() == 0.0 && n <= 2f64.powi(53) => Ok(n as u64),
-        _ => Err(format!("{ctx}: {key} must be a non-negative integer seed")),
-    }
-}
-
-/// Parses `"HH:MM"` on the 5-minute grid into an interval-of-day,
-/// mirroring the `parse_hhmm` contract of `apots-cli`.
-fn hhmm_in(map: &Map, key: &str, ctx: &str) -> Result<usize, String> {
-    let s = require(map, key, ctx)?
-        .as_str()
-        .ok_or_else(|| format!("{ctx}: {key} must be an \"HH:MM\" string"))?;
-    let (hh, mm) = s
-        .split_once(':')
-        .ok_or_else(|| format!("{ctx}: {key} = {s:?} is not an \"HH:MM\" time"))?;
-    let h: usize = hh
-        .parse()
-        .map_err(|_| format!("{ctx}: {key} = {s:?} has a bad hour"))?;
-    let m: usize = mm
-        .parse()
-        .map_err(|_| format!("{ctx}: {key} = {s:?} has a bad minute"))?;
-    if h > 23 || m > 59 {
-        return Err(format!(
-            "{ctx}: {key} = {s:?} out of range (valid: 00:00..=23:55)"
-        ));
-    }
-    if !m.is_multiple_of(5) {
-        return Err(format!(
-            "{ctx}: {key} = {s:?} is not on a 5-minute boundary (intervals are \
-             5 minutes; use {h:02}:{:02} or {h:02}:{:02})",
-            m - m % 5,
-            (m - m % 5 + 5).min(55),
-        ));
-    }
-    Ok(h * 12 + m / 5)
-}
-
-fn minutes_in(map: &Map, key: &str, lo: usize, hi: usize, ctx: &str) -> Result<usize, String> {
-    let v = usize_in(map, key, lo, hi, ctx)?;
-    if !v.is_multiple_of(5) {
-        return Err(format!(
-            "{ctx}: {key} = {v} is not a multiple of 5 (intervals are 5 minutes)"
-        ));
-    }
-    Ok(v / 5)
-}
-
-fn fmt_hhmm(interval: usize) -> String {
-    format!("{:02}:{:02}", interval / 12, interval % 12 * 5)
-}
+const TOP_KEYS: &str = "schema name seed days segments corridor_len events";
+const ACCIDENT_KEYS: &str =
+    "type segment day start severity duration_min cascade cascade_delay_min";
+const CITY_KEYS: &str = "type segment day start end radius demand";
+const OUTAGE_KEYS: &str = "type rate mean_duration_min seed";
+const WINDOW_KEYS: &str = "type segment day start end";
+const PEAK_KEYS: &str = "type day amp";
 
 impl ScenarioSpec {
     /// Parses a strict-JSON scenario document.
     pub fn parse(text: &str) -> Result<Self, String> {
         let doc = Json::parse(text).map_err(|e| format!("scenario: invalid JSON: {e}"))?;
-        let map = doc
-            .as_object()
-            .ok_or_else(|| "scenario: document must be a JSON object".to_string())?;
-        reject_unknown(map, TOP_KEYS, "scenario")?;
-        let schema = require(map, "schema", "scenario")?
-            .as_str()
-            .ok_or_else(|| "scenario: schema must be a string".to_string())?;
+        let doc = Obj::new(&doc, "scenario")?.only(TOP_KEYS)?;
+        let schema = doc.req("schema")?.str()?;
         if schema != SCENARIO_SCHEMA {
             return Err(format!(
                 "scenario: schema = {schema:?} not supported (valid: {SCENARIO_SCHEMA:?})"
             ));
         }
-        let name = require(map, "name", "scenario")?
-            .as_str()
-            .ok_or_else(|| "scenario: name must be a string".to_string())?
-            .to_string();
-        let seed = u64_of(map, "seed", "scenario")?;
-        let days = usize_in(map, "days", 1, 31, "scenario")?;
-        let segments = usize_in(map, "segments", 16, 65_536, "scenario")?;
-        let corridor_len = match map.get("corridor_len") {
-            Some(_) => usize_in(map, "corridor_len", 4, 64, "scenario")?,
-            None => 16,
-        };
-        let events_json = require(map, "events", "scenario")?
-            .as_array()
-            .ok_or_else(|| "scenario: events must be an array".to_string())?;
-
-        let mut events = Vec::with_capacity(events_json.len());
-        for (i, ev) in events_json.iter().enumerate() {
-            events.push(Self::parse_event(ev, i, days, segments)?);
-        }
+        let name = doc.req("name")?.str()?.to_string();
+        let seed = doc.req("seed")?.u64()?;
+        let days = doc.req("days")?.usize_within(1..=31)?;
+        let segments = doc.req("segments")?.usize_within(16..=65_536)?;
         Ok(Self {
             name,
             seed,
             days,
             segments,
-            corridor_len,
-            events,
+            corridor_len: doc
+                .opt("corridor_len")
+                .map_or(Ok(16), |f| f.usize_within(4..=64))?,
+            events: doc
+                .req("events")?
+                .arr()?
+                .iter()
+                .enumerate()
+                .map(|(i, ev)| Self::parse_event(ev, i, days - 1, segments - 1))
+                .collect::<Result<_, _>>()?,
         })
     }
 
     fn parse_event(
         ev: &Json,
         i: usize,
-        days: usize,
-        segments: usize,
+        max_day: usize,
+        max_seg: usize,
     ) -> Result<ScenarioEvent, String> {
-        let ctx0 = format!("events[{i}]");
-        let map = ev
-            .as_object()
-            .ok_or_else(|| format!("{ctx0}: event must be a JSON object"))?;
-        let kind = require(map, "type", &ctx0)?
-            .as_str()
-            .ok_or_else(|| format!("{ctx0}: type must be a string"))?;
-        let ctx = format!("events[{i}] ({kind})");
-        let max_day = days - 1;
-        let max_seg = segments - 1;
-        match kind {
-            "cascading_accident" => {
-                reject_unknown(map, ACCIDENT_KEYS, &ctx)?;
-                let event = ScenarioEvent::CascadingAccident {
-                    segment: usize_in(map, "segment", 0, max_seg, &ctx)?,
-                    day: usize_in(map, "day", 0, max_day, &ctx)?,
-                    start: hhmm_in(map, "start", &ctx)?,
-                    severity: f64_in(map, "severity", 0.05, 0.9, &ctx)? as f32,
-                    duration: minutes_in(map, "duration_min", 5, 720, &ctx)?,
-                    cascade: match map.get("cascade") {
-                        Some(_) => usize_in(map, "cascade", 0, 8, &ctx)?,
-                        None => 0,
-                    },
-                    cascade_delay: match map.get("cascade_delay_min") {
-                        Some(_) => minutes_in(map, "cascade_delay_min", 5, 120, &ctx)?,
-                        None => 3,
-                    },
-                };
-                Ok(event)
+        let kind = Obj::new(ev, format!("events[{i}]"))?.req("type")?.str()?;
+        let keys = match kind {
+            "cascading_accident" => ACCIDENT_KEYS,
+            "city_event" => CITY_KEYS,
+            "outage" => OUTAGE_KEYS,
+            "outage_window" => WINDOW_KEYS,
+            "super_peak" => PEAK_KEYS,
+            other => {
+                return Err(format!(
+                    "events[{i}]: type = {other:?} not supported (valid: cascading_accident, \
+                     city_event, outage, outage_window, super_peak)"
+                ))
             }
-            "city_event" => {
-                reject_unknown(map, CITY_KEYS, &ctx)?;
-                let start = hhmm_in(map, "start", &ctx)?;
-                let end = hhmm_in(map, "end", &ctx)?;
-                if end <= start {
-                    return Err(format!(
-                        "{ctx}: end = {:?} must be after start = {:?}",
-                        fmt_hhmm(end),
-                        fmt_hhmm(start)
-                    ));
-                }
-                Ok(ScenarioEvent::CityEvent {
-                    segment: usize_in(map, "segment", 0, max_seg, &ctx)?,
-                    day: usize_in(map, "day", 0, max_day, &ctx)?,
-                    start,
-                    end,
-                    radius: usize_in(map, "radius", 0, 6, &ctx)?,
-                    demand: f64_in(map, "demand", 0.05, 0.9, &ctx)? as f32,
-                })
-            }
-            "outage" => {
-                reject_unknown(map, OUTAGE_KEYS, &ctx)?;
-                let rate = require(map, "rate", &ctx)?
-                    .as_f64()
-                    .ok_or_else(|| format!("{ctx}: rate must be a number"))?;
-                if !(0.0..1.0).contains(&rate) {
-                    return Err(format!(
-                        "{ctx}: rate = {rate} out of range (valid: 0 <= rate < 1)"
-                    ));
-                }
-                Ok(ScenarioEvent::Outage {
-                    rate,
-                    mean_duration: minutes_in(map, "mean_duration_min", 5, 360, &ctx)?,
-                    seed: match map.get("seed") {
-                        Some(_) => u64_of(map, "seed", &ctx)?,
-                        None => 0x5CE4A7,
-                    },
-                })
-            }
-            "outage_window" => {
-                reject_unknown(map, WINDOW_KEYS, &ctx)?;
-                let start = hhmm_in(map, "start", &ctx)?;
-                let end = hhmm_in(map, "end", &ctx)?;
-                if end <= start {
-                    return Err(format!(
-                        "{ctx}: end = {:?} must be after start = {:?}",
-                        fmt_hhmm(end),
-                        fmt_hhmm(start)
-                    ));
-                }
-                Ok(ScenarioEvent::OutageWindow {
-                    segment: usize_in(map, "segment", 0, max_seg, &ctx)?,
-                    day: usize_in(map, "day", 0, max_day, &ctx)?,
-                    start,
-                    end,
-                })
-            }
-            "super_peak" => {
-                reject_unknown(map, PEAK_KEYS, &ctx)?;
-                Ok(ScenarioEvent::SuperPeak {
-                    day: usize_in(map, "day", 0, max_day, &ctx)?,
-                    amp: f64_in(map, "amp", 1.0, 3.0, &ctx)? as f32,
-                })
-            }
-            other => Err(format!(
-                "{ctx0}: type = {other:?} not supported (valid: cascading_accident, \
-                 city_event, outage, outage_window, super_peak)"
+        };
+        let ev = Obj::new(ev, format!("events[{i}] ({kind})"))?.only(keys)?;
+        let ctx = ev.ctx();
+        let in_ctx = |e: String| format!("{ctx}: {e}");
+        let segment = || ev.req("segment")?.usize_within(0..=max_seg);
+        let day = || ev.req("day")?.usize_within(0..=max_day);
+        let time = |key| interval_of_hhmm(key, ev.req(key)?.str()?).map_err(in_ctx);
+        let minutes = |key, range| match ev.req(key)?.usize_within(range)? {
+            m if m.is_multiple_of(5) => Ok(m / 5),
+            m => Err(format!(
+                "{ctx}: {key} = {m} is not a multiple of 5 (intervals are 5 minutes)"
             )),
-        }
+        };
+        let window = || {
+            let (start, end) = (time("start")?, time("end")?);
+            if end <= start {
+                return Err(format!(
+                    "{ctx}: end = {:?} must be after start = {:?}",
+                    fmt_hhmm(end),
+                    fmt_hhmm(start)
+                ));
+            }
+            Ok((start, end))
+        };
+        Ok(match kind {
+            "cascading_accident" => ScenarioEvent::CascadingAccident {
+                segment: segment()?,
+                day: day()?,
+                start: time("start")?,
+                severity: ev.req("severity")?.f64_within(0.05..=0.9)? as f32,
+                duration: minutes("duration_min", 5..=720)?,
+                cascade: ev.opt("cascade").map_or(Ok(0), |f| f.usize_within(0..=8))?,
+                cascade_delay: match ev.opt("cascade_delay_min") {
+                    Some(_) => minutes("cascade_delay_min", 5..=120)?,
+                    None => 3,
+                },
+            },
+            "city_event" => {
+                let (start, end) = window()?;
+                ScenarioEvent::CityEvent {
+                    segment: segment()?,
+                    day: day()?,
+                    start,
+                    end,
+                    radius: ev.req("radius")?.usize_within(0..=6)?,
+                    demand: ev.req("demand")?.f64_within(0.05..=0.9)? as f32,
+                }
+            }
+            "outage" => ScenarioEvent::Outage {
+                rate: ev.req("rate")?.f64_within(0.0..1.0)?,
+                mean_duration: minutes("mean_duration_min", 5..=360)?,
+                seed: ev.opt("seed").map_or(Ok(0x5CE4A7), Field::u64)?,
+            },
+            "outage_window" => {
+                let (start, end) = window()?;
+                ScenarioEvent::OutageWindow {
+                    segment: segment()?,
+                    day: day()?,
+                    start,
+                    end,
+                }
+            }
+            // "super_peak", the one kind the key table above leaves.
+            _ => ScenarioEvent::SuperPeak {
+                day: day()?,
+                amp: ev.req("amp")?.f64_within(1.0..=3.0)? as f32,
+            },
+        })
     }
 
     /// Serializes the spec back to its document form (round-trips through
@@ -911,6 +774,17 @@ mod tests {
         let err = ScenarioSpec::parse(&text).unwrap_err();
         assert!(err.contains("duration_min = 62"), "{err}");
         assert!(err.contains("multiple of 5"), "{err}");
+    }
+
+    /// `"HH:MM"` is exactly two digits either side; `"8:00"` used to
+    /// read as 08:00.
+    #[test]
+    fn short_time_is_refused() {
+        let text = patch(&demo_text(), "\"start\": \"08:00\"", "\"start\": \"8:00\"");
+        assert_eq!(
+            ScenarioSpec::parse(&text).unwrap_err(),
+            "events[0] (cascading_accident): start = \"8:00\" is not an \"HH:MM\" time"
+        );
     }
 
     #[test]

@@ -4,6 +4,9 @@
 # fail on regression, then self-test that the gate actually *can* fail:
 # with every baseline median inflated 2x the comparison must go red.
 #
+# A baseline row with a misspelt key (`"exakt"` for `"exact"`) must be
+# refused by name, not read as a timing row with the default band.
+#
 # Timing medians come from single-sample smoke runs and move with the
 # host, so timing tolerances are wide (see bench_baselines.json) — but
 # every tolerance is enforced < 0.5, which guarantees a 2x regression
@@ -29,3 +32,19 @@ if "$gate" bench-gate --baselines bench_baselines.json --scale-baseline 2 >/dev/
   exit 1
 fi
 echo "negative self-test ok: inflated baseline was rejected"
+
+echo "== negative check: a misspelt baseline key must be refused by name =="
+bad=$(mktemp)
+sed '0,/"exact": true/s//"exakt": true/' bench_baselines.json > "$bad"
+if err=$("$gate" bench-gate --baselines "$bad" 2>&1); then
+  rm -f "$bad"
+  echo "ERROR: bench-gate accepted a baseline with the misspelt key \"exakt\"" >&2
+  exit 1
+fi
+rm -f "$bad"
+if ! grep -qF 'unknown key "exakt"' <<<"$err"; then
+  echo "ERROR: the refusal does not name the misspelt key:" >&2
+  echo "$err" >&2
+  exit 1
+fi
+echo "negative check ok: the misspelt key was refused by name"

@@ -12,7 +12,8 @@
 #     report built over it are byte-identical at both thread counts and
 #     pinned by an FNV-1a hash;
 #   * the CLI `scenario` subcommand end to end: describe/generate/report
-#     on the demo spec, and a malformed spec must be rejected.
+#     on the demo spec, and a malformed spec must be rejected, naming the
+#     first missing key.
 set -euo pipefail
 cd "$(dirname "$0")/../.."
 
@@ -37,4 +38,15 @@ if target/release/apots scenario describe --spec "$bad" 2>/dev/null; then
   exit 1
 fi
 rm -f "$bad"
+
+echo "== negative check: the refusal names the missing key =="
+bad=$(mktemp)
+printf '{"schema": "apots-scenario", "name": "bad"}\n' > "$bad"
+err=$(target/release/apots scenario describe --spec "$bad" 2>&1 >/dev/null || true)
+rm -f "$bad"
+if ! grep -qF 'missing required key "seed"' <<<"$err"; then
+  echo "ERROR: the refusal does not name the missing key \"seed\":" >&2
+  echo "$err" >&2
+  exit 1
+fi
 echo "scenario stage: DSL, properties, golden and CLI all green"
