@@ -295,6 +295,20 @@ mod tests {
         }
     }
 
+    /// A row that sets `exact` twice used to be read by its last value,
+    /// gating an exact checksum row as a ±15 % timing band; it is refused
+    /// by name.
+    #[test]
+    fn refuses_a_repeated_key_by_name() {
+        let text = BASE.replacen("\"exact\": true", "\"exact\": true, \"exact\": false", 1);
+        assert_ne!(text, BASE);
+        let err = parse_baselines(&text, "t").unwrap_err();
+        assert!(
+            err.starts_with("t: duplicate key \"exact\" in object at byte "),
+            "{err}"
+        );
+    }
+
     /// The committed baseline files use only the known keys.
     #[test]
     fn committed_baselines_load() {

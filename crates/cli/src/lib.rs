@@ -79,7 +79,8 @@ fn usage() -> &'static str {
      \x20            checkpoints are rejected and the old model keeps\n\
      \x20            serving — see DESIGN.md §14; --quant picks the\n\
      \x20            inference lane: off = bit-exact training kernels,\n\
-     \x20            int8 = quantized weights — §15)\n\
+     \x20            int8 = quantized weights — §15; GET /metrics counts\n\
+     \x20            only under --trace and says so in \"telemetry\")\n\
      \x20 attack     run a θ-bounded black-box attack on a checkpoint\n\
      \x20            --model FILE [--attack random-search|greedy|spsa]\n\
      \x20            [--budget N] [--theta X] [--samples N] [--json]\n\
@@ -879,7 +880,7 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
     println!(
         "  GET /predict?road=R&t=T   predicted speed for road R at interval T\n\
          \x20 GET /healthz              liveness + model generation\n\
-         \x20 GET /metrics              serve counters"
+         \x20 GET /metrics              serve.* metrics (counted only under --trace)"
     );
     if watching {
         println!("watching for checkpoint rotations (hot-swap enabled)");

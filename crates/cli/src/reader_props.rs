@@ -5,9 +5,9 @@
 //!
 //! Each case takes a seed document — a valid one or an existing
 //! rejection vector — and applies one to three byte flips, truncations,
-//! key renames or type swaps. The reader must not panic, and must either
-//! return a value that survives read → write → read unchanged or an
-//! error that starts with its own context.
+//! key renames, type swaps or key duplications. The reader must not
+//! panic, and must either return a value that survives read → write →
+//! read unchanged or an error that starts with its own context.
 
 use apots::runtime::TrainCheckpoint;
 use apots_check::{check_with, prop_assert, prop_assert_eq, Config, Rng, SeededRng};
@@ -126,12 +126,12 @@ fn keys(text: &[u8]) -> Vec<(usize, usize)> {
     found
 }
 
-/// Byte ranges of scalar values (strings, numbers, literals) that follow
-/// a key.
-fn scalars(text: &[u8]) -> Vec<(usize, usize)> {
+/// Scalar values (strings, numbers, literals) that follow a key: where
+/// the key's opening quote sits, and the value's byte range.
+fn scalars(text: &[u8]) -> Vec<(usize, usize, usize)> {
     keys(text)
         .into_iter()
-        .filter_map(|(_, end)| {
+        .filter_map(|(key, end)| {
             let colon = end + 1 + text[end + 1..].iter().position(|&b| b == b':')?;
             let start = colon
                 + 1
@@ -145,18 +145,18 @@ fn scalars(text: &[u8]) -> Vec<(usize, usize)> {
                     .iter()
                     .position(|&b| !(b.is_ascii_alphanumeric() || b"+-.".contains(&b)))?
             };
-            (len > 0).then_some((start, start + len))
+            (len > 0).then_some((key - 1, start, start + len))
         })
         .collect()
 }
 
 /// One random edit of `text`.
 fn mutate(rng: &mut SeededRng, text: &str) -> String {
-    let mut bytes = text.as_bytes().to_vec();
-    let pick = |rng: &mut SeededRng, spans: &[(usize, usize)]| {
+    fn pick<T: Copy>(rng: &mut SeededRng, spans: &[T]) -> Option<T> {
         (!spans.is_empty()).then(|| spans[rng.random_range(0..spans.len())])
-    };
-    match rng.random_range(0..4u32) {
+    }
+    let mut bytes = text.as_bytes().to_vec();
+    match rng.random_range(0..5u32) {
         // Byte flip: any position, a JSON-significant or random byte.
         0 if !bytes.is_empty() => {
             let at = rng.random_range(0..bytes.len());
@@ -182,9 +182,17 @@ fn mutate(rng: &mut SeededRng, text: &str) -> String {
                 }
             }
         }
+        // Key duplication: a `"key": scalar` entry is repeated in its
+        // object.
+        3 => {
+            if let Some((key, _, end)) = pick(rng, &scalars(&bytes)) {
+                let entry = bytes[key..end].to_vec();
+                bytes.splice(end..end, b", ".iter().chain(&entry).copied());
+            }
+        }
         // Type swap: a scalar value becomes one of another type or range.
         _ => {
-            if let Some((start, end)) = pick(rng, &scalars(&bytes)) {
+            if let Some((_, start, end)) = pick(rng, &scalars(&bytes)) {
                 let menu = [
                     "null",
                     "true",

@@ -208,10 +208,12 @@ fn matmul_a_bt_non_finite_operands_match_reference() {
 
 /// Values of every `det: true` counter, in registry order.
 fn det_counters() -> Vec<(&'static str, u64)> {
-    apots_obs::metrics::ALL_COUNTERS
+    apots_obs::metrics::REGISTRY
         .iter()
-        .filter(|c| c.det())
-        .map(|c| (c.name(), c.get()))
+        .filter_map(|m| match m {
+            apots_obs::metrics::Metric::Counter(c) if m.det() => Some((m.name(), c.get())),
+            _ => None,
+        })
         .collect()
 }
 

@@ -1,26 +1,28 @@
 //! **Trace-format contract** (DESIGN.md §11): every line a traced run
 //! emits is strict JSON with a known `kind`; span open/close events obey
 //! stack discipline per thread; and the deterministic projection of a
-//! seeded 2-epoch training trace hashes to a pinned golden that does not
+//! seeded 2-epoch training trace equals a committed golden that does not
 //! depend on `APOTS_THREADS`.
 //!
-//! The golden below was captured at `APOTS_THREADS=1` and re-verified at
-//! 4 threads: [`apots_obs::summary::det_hash`] strips `t_ns` / `dur_ns` /
+//! The golden, `golden/trace_det.jsonl`, was captured at
+//! `APOTS_THREADS=1` and re-verified at 4 threads:
+//! [`apots_obs::summary::det_projection`] strips `t_ns` / `dur_ns` /
 //! `thread` and keeps only `det: true` records, all of which are emitted
 //! from the driving thread in program order (or counted at kernel
-//! dispatch entry, before any work is split), so the hash pins the traced
+//! dispatch entry, before any work is split), so it pins the traced
 //! *semantics* — event names, order, loss values, kernel dispatch counts —
 //! not the schedule. Counters at value 0 are left out, so a counter the
-//! run never bumps can be registered or deleted without moving it. If it
-//! changes after an intentional numerics or instrumentation change,
-//! recapture it and note the break in DESIGN.md; never let it drift
-//! silently.
+//! run never bumps can be registered or deleted without moving it. A
+//! mismatch names the first differing line. If it changes after an
+//! intentional numerics or instrumentation change, recapture the file and
+//! its hash [`GOLDEN_DET_HASH`] together and note the break in DESIGN.md;
+//! never let it drift silently.
 
 use apots::config::{HyperPreset, PredictorKind, TrainConfig};
 use apots::predictor::build_predictor;
 use apots::trainer::train_apots;
 use apots_check::{seeded, Rng, SeededRng};
-use apots_serde::atomic::Fnv1a;
+use apots_serde::atomic::{fnv1a_64, Fnv1a};
 use apots_serde::Json;
 use apots_traffic::calendar::Calendar;
 use apots_traffic::{Corridor, DataConfig, FeatureMask, SimConfig, TrafficDataset};
@@ -32,8 +34,12 @@ fn session() -> std::sync::MutexGuard<'static, ()> {
     SESSION.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// `det_hash` of the 2-epoch Hybrid adversarial trace below, captured at
-/// `APOTS_THREADS=1` (seed 2024, predictor seed 42, 128 samples).
+/// `det_projection` of the 2-epoch Hybrid adversarial trace below,
+/// captured at `APOTS_THREADS=1` (seed 2024, predictor seed 42, 128
+/// samples).
+const GOLDEN_DET_PROJECTION: &str = include_str!("golden/trace_det.jsonl");
+
+/// `det_hash` of that trace: the FNV-1a of [`GOLDEN_DET_PROJECTION`].
 ///
 /// Recaptured when the robustness harness registered the
 /// `attack.runs` / `attack.queries` / `rdat.steps` counters (they appear
@@ -253,20 +259,39 @@ fn random_span_trees_render_well_nested() {
     );
 }
 
+/// Panics unless `projection` (of the run at `threads`) is the committed
+/// golden, naming the first line where they part.
+fn assert_matches_golden_projection(projection: &str, threads: usize) {
+    let got: Vec<&str> = projection.lines().collect();
+    let want: Vec<&str> = GOLDEN_DET_PROJECTION.lines().collect();
+    if let Some(i) = (0..got.len().max(want.len())).find(|&i| got.get(i) != want.get(i)) {
+        panic!(
+            "the det projection at APOTS_THREADS={threads} drifted from \
+             golden/trace_det.jsonl at line {}:\n  run:    {}\n  golden: {}\n\
+             (see the module docs before updating)",
+            i + 1,
+            got.get(i).unwrap_or(&"<end of projection>"),
+            want.get(i).unwrap_or(&"<end of golden>"),
+        );
+    }
+    assert_eq!(projection, GOLDEN_DET_PROJECTION, "APOTS_THREADS={threads}");
+}
+
 #[test]
 fn det_hash_is_thread_count_invariant_and_matches_golden() {
     let _g = session();
-    let h1 = apots_obs::summary::det_hash(trace_t1()).expect("det_hash at T=1");
-    let t4 = traced_run(4);
-    let h4 = apots_obs::summary::det_hash(&t4).expect("det_hash at T=4");
     assert_eq!(
-        h1, h4,
-        "deterministic trace projection must not depend on APOTS_THREADS"
+        fnv1a_64(GOLDEN_DET_PROJECTION.as_bytes()),
+        GOLDEN_DET_HASH,
+        "GOLDEN_DET_HASH must be the FNV-1a of golden/trace_det.jsonl"
     );
+    let p1 = apots_obs::summary::det_projection(trace_t1()).expect("det projection at T=1");
+    assert_matches_golden_projection(&p1, 1);
+    let p4 = apots_obs::summary::det_projection(&traced_run(4)).expect("det projection at T=4");
+    assert_matches_golden_projection(&p4, 4);
     assert_eq!(
-        h1, GOLDEN_DET_HASH,
-        "traced semantics drifted from the pinned golden \
-         (got 0x{h1:016x}); see the module docs before updating"
+        apots_obs::summary::det_hash(trace_t1()),
+        Ok(GOLDEN_DET_HASH)
     );
 }
 
@@ -322,7 +347,7 @@ fn traced_run_is_bit_identical_to_untraced() {
 /// The robustness harness extends the trace vocabulary with `rdat.*` /
 /// `attack.*` *names* but no new `kind`s: an RDAT-defended traced run
 /// must stay inside the same 8-kind contract, bump the `rdat.steps`
-/// counter, and summarize cleanly (including the `attack` section).
+/// counter, and summarize cleanly (including the `rdat` section).
 #[test]
 fn rdat_trace_stays_inside_the_kind_contract() {
     let _g = session();
@@ -373,8 +398,8 @@ fn rdat_trace_stays_inside_the_kind_contract() {
     assert!(rdat_steps > 0.0, "RDAT run never bumped rdat.steps");
     assert!(saw_gap, "RDAT run never emitted rdat.gap");
     let s = apots_obs::summary::summarize(&text).expect("summarize RDAT trace");
-    let attack = s.get("attack").and_then(Json::as_object).unwrap();
-    assert!(attack.get("rdat_steps").and_then(Json::as_f64).unwrap() > 0.0);
+    let rdat = s.get("rdat").and_then(Json::as_object).unwrap();
+    assert_eq!(rdat.get("steps").and_then(Json::as_f64), Some(rdat_steps));
 }
 
 #[test]
@@ -387,11 +412,8 @@ fn summary_of_traced_run_reports_epochs_and_kernels() {
         assert!(e.get("mse").and_then(Json::as_f64).unwrap() > 0.0);
         assert!(e.get("grad_norm").and_then(Json::as_f64).is_some());
     }
-    let kernels = s.get("kernels").and_then(Json::as_object).unwrap();
-    let total = kernels
-        .get("total_dispatches")
-        .and_then(Json::as_f64)
-        .unwrap();
+    let kernel = s.get("kernel").and_then(Json::as_object).unwrap();
+    let total: f64 = kernel.iter().filter_map(|(_, v)| v.as_f64()).sum();
     assert!(total > 0.0, "training must dispatch kernels");
     // The summary itself is strict JSON end to end.
     let reparsed = Json::parse(&s.to_string()).expect("summary round-trips");

@@ -16,9 +16,10 @@
 //!   so readers never observe a torn trace.
 //! * **Deterministic subset.** Every event and metric carries a `det` flag.
 //!   `det: true` data must be bit-identical for any `APOTS_THREADS` and any
-//!   wall-clock; [`summary::det_hash`] projects those lines onto their
-//!   canonical fields (stripping `t_ns` / `dur_ns` / `thread`) and FNV-1a
-//!   hashes them, giving a thread-count-invariant golden for traced runs.
+//!   wall-clock; [`summary::det_projection`] projects those lines onto
+//!   their canonical fields (stripping `t_ns` / `dur_ns` / `thread`) and
+//!   [`summary::det_hash`] FNV-1a hashes that projection, giving a
+//!   thread-count-invariant golden for traced runs.
 //!
 //! The trace is JSONL: one strict-JSON object per line, written and parsed
 //! with `apots-serde`. Line kinds: `meta`, `span_open`, `span_close`,
@@ -290,39 +291,14 @@ pub fn drain() {
 }
 
 fn snapshot_lines(out: &mut String) {
-    for c in metrics::ALL_COUNTERS {
+    for metric in metrics::REGISTRY {
         let mut m = Map::new();
-        m.insert("kind".into(), Json::Str("counter".into()));
-        m.insert("name".into(), Json::Str(c.name().into()));
-        m.insert("det".into(), Json::Bool(c.det()));
-        m.insert("value".into(), Json::Num(c.get() as f64));
-        out.push_str(&Json::Obj(m).to_string());
-        out.push('\n');
-    }
-    for g in metrics::ALL_GAUGES {
-        let mut m = Map::new();
-        m.insert("kind".into(), Json::Str("gauge".into()));
-        m.insert("name".into(), Json::Str(g.name().into()));
-        m.insert("det".into(), Json::Bool(false));
-        m.insert("value".into(), Json::Num(g.get() as f64));
-        out.push_str(&Json::Obj(m).to_string());
-        out.push('\n');
-    }
-    for h in metrics::ALL_HISTS {
-        let s = h.snapshot();
-        let mut m = Map::new();
-        m.insert("kind".into(), Json::Str("hist".into()));
-        m.insert("name".into(), Json::Str(h.name().into()));
-        m.insert("det".into(), Json::Bool(false));
-        m.insert("count".into(), Json::Num(s.count as f64));
-        m.insert("sum".into(), Json::Num(s.sum as f64));
-        m.insert(
-            "min".into(),
-            Json::Num(if s.count == 0 { 0.0 } else { s.min as f64 }),
-        );
-        m.insert("max".into(), Json::Num(s.max as f64));
-        m.insert("p50".into(), Json::Num(s.p50 as f64));
-        m.insert("p99".into(), Json::Num(s.p99 as f64));
+        m.insert("kind".into(), Json::Str(metric.kind().into()));
+        m.insert("name".into(), Json::Str(metric.name().into()));
+        m.insert("det".into(), Json::Bool(metric.det()));
+        for (field, v) in metric.fields().iter() {
+            m.insert(field.into(), v.clone());
+        }
         out.push_str(&Json::Obj(m).to_string());
         out.push('\n');
     }
@@ -358,16 +334,17 @@ pub fn render() -> String {
 /// Atomically (re)writes the full trace document to the configured sink.
 ///
 /// Returns the sink path written, or `None` when no sink is configured.
-/// Safe to call repeatedly: each flush rewrites the whole file through the
-/// atomic writer, so the on-disk trace is always complete and well-formed.
+/// Safe to call repeatedly and from any thread: each flush rewrites the
+/// whole file through the atomic writer while holding the sink lock, so
+/// two flushes never share the writer's temp file and the on-disk trace
+/// is always complete and well-formed.
 pub fn flush() -> std::io::Result<Option<PathBuf>> {
-    let sink = SINK.lock().unwrap().clone();
-    match sink {
+    let sink = SINK.lock().unwrap();
+    match sink.as_ref() {
         None => Ok(None),
         Some(path) => {
-            let text = render();
-            write_trace(&path, &text)?;
-            Ok(Some(path))
+            write_trace(path, &render())?;
+            Ok(Some(path.clone()))
         }
     }
 }
@@ -396,12 +373,12 @@ pub fn drain_and_flush() {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Mutex as StdMutex;
+    use metrics::Metric;
 
-    // Obs state is process-global; serialize tests that toggle it.
-    static LOCK: StdMutex<()> = StdMutex::new(());
+    // Obs state is process-global; serialize tests that toggle or read it.
+    static LOCK: Mutex<()> = Mutex::new(());
 
-    fn sess() -> std::sync::MutexGuard<'static, ()> {
+    pub(crate) fn sess() -> std::sync::MutexGuard<'static, ()> {
         LOCK.lock().unwrap_or_else(|e| e.into_inner())
     }
 
@@ -498,5 +475,83 @@ mod tests {
             Json::parse(line).expect("flushed lines parse");
         }
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Flushes from several threads at once each write the whole trace:
+    /// none fails and the file they leave parses line by line.
+    #[test]
+    fn concurrent_flushes_never_fail_or_tear() {
+        let _g = sess();
+        let dir = std::env::temp_dir().join(format!("apots_obs_flush_{}", std::process::id()));
+        let path = dir.join("trace.jsonl");
+        enable(Some(path.clone()));
+        value("epoch.mse", true, 0.5);
+        metrics::KERNEL_MATMUL.add(3);
+        disable();
+        drain();
+        let start = std::sync::Barrier::new(4);
+        let failures: usize = std::thread::scope(|s| {
+            let flushers: Vec<_> = (0..4)
+                .map(|_| {
+                    s.spawn(|| {
+                        start.wait();
+                        (0..200).filter(|_| flush().is_err()).count()
+                    })
+                })
+                .collect();
+            flushers.into_iter().map(|h| h.join().unwrap()).sum()
+        });
+        let text = std::fs::read_to_string(&path).unwrap();
+        std::fs::remove_dir_all(&dir).ok();
+        assert_eq!(failures, 0, "{failures} of 800 concurrent flushes failed");
+        assert_eq!(text, render());
+        for line in text.lines() {
+            Json::parse(line).expect("flushed lines parse");
+        }
+    }
+
+    /// Bumps every registered metric once by walking the registry: each
+    /// must reach the trace, the summary at `summary[section][key]` and,
+    /// for `serve.*`, the `/metrics` entries.
+    #[test]
+    fn every_registered_metric_reaches_every_report() {
+        let _g = sess();
+        enable(None);
+        for m in metrics::REGISTRY {
+            match *m {
+                Metric::Counter(c) => c.bump(),
+                Metric::Gauge(g) => g.set(1),
+                Metric::Hist(h) => h.record(1),
+            }
+        }
+        disable();
+        let summary = summary::summarize(&render()).expect("summarize");
+        let served = metrics::section("serve");
+        // A histogram's reading is its sample count.
+        let one = |m: &Metric, v: &Json| match m {
+            Metric::Hist(_) => v.get("count").and_then(Json::as_f64),
+            _ => v.as_f64(),
+        };
+        let mut n_served = 0;
+        for m in metrics::REGISTRY {
+            let name = m.name();
+            let (section, key) = name.split_once('.').expect("metric names are section.key");
+            assert!(
+                !summary::TOP_LEVEL_KEYS.contains(&section),
+                "{name}: section collides with a top-level summary key"
+            );
+            let got = summary.get(section).and_then(|s| s.get(key));
+            assert_eq!(
+                got.and_then(|v| one(m, v)),
+                Some(1.0),
+                "summary[{section}][{key}]"
+            );
+            if section == "serve" {
+                n_served += 1;
+                let got = served.get(key);
+                assert_eq!(got.and_then(|v| one(m, v)), Some(1.0), "/metrics {key}");
+            }
+        }
+        assert_eq!(served.len(), n_served);
     }
 }

@@ -1,9 +1,11 @@
 //! Global metric registry: const-constructible counters, gauges and
 //! histograms backed by relaxed atomics.
 //!
-//! Every metric is a `static` declared here and listed in one of the
-//! `ALL_*` slices so [`crate::render`] can snapshot the registry and
-//! [`reset_all`] can start a fresh session. Update paths gate on
+//! Every metric is declared once, in the `registry!` block at the end of
+//! this module: that gives its `pub static` and its entry in [`REGISTRY`],
+//! which [`reset_all`], the trace snapshot ([`crate::render`]) and
+//! [`section`] walk. A metric named `section.key` is filed by
+//! `metrics-summary` at `summary[section][key]`. Update paths gate on
 //! [`crate::enabled`] internally, so an instrumentation site is a single
 //! call whose disabled cost is one relaxed atomic load.
 //!
@@ -13,6 +15,8 @@
 //! are `det: false` and excluded from the golden trace hash.
 
 use std::sync::atomic::{AtomicU64, Ordering};
+
+use apots_serde::{Json, Map};
 
 use crate::enabled;
 
@@ -24,9 +28,7 @@ pub struct Counter {
 }
 
 impl Counter {
-    /// Const-constructs a counter (declare as `static`, list in
-    /// [`ALL_COUNTERS`]).
-    pub const fn new(name: &'static str, det: bool) -> Self {
+    const fn new(name: &'static str, det: bool) -> Self {
         Counter {
             name,
             det,
@@ -53,16 +55,6 @@ impl Counter {
         self.v.load(Ordering::Relaxed)
     }
 
-    /// Metric name.
-    pub fn name(&self) -> &'static str {
-        self.name
-    }
-
-    /// Whether this counter is deterministic (golden-hash eligible).
-    pub fn det(&self) -> bool {
-        self.det
-    }
-
     fn reset(&self) {
         self.v.store(0, Ordering::Relaxed);
     }
@@ -75,9 +67,7 @@ pub struct Gauge {
 }
 
 impl Gauge {
-    /// Const-constructs a gauge (declare as `static`, list in
-    /// [`ALL_GAUGES`]).
-    pub const fn new(name: &'static str) -> Self {
+    const fn new(name: &'static str) -> Self {
         Gauge {
             name,
             v: AtomicU64::new(0),
@@ -103,11 +93,6 @@ impl Gauge {
     /// Current value.
     pub fn get(&self) -> u64 {
         self.v.load(Ordering::Relaxed)
-    }
-
-    /// Metric name.
-    pub fn name(&self) -> &'static str {
-        self.name
     }
 
     fn reset(&self) {
@@ -151,9 +136,7 @@ pub struct HistSnapshot {
 }
 
 impl Histogram {
-    /// Const-constructs a histogram (declare as `static`, list in
-    /// [`ALL_HISTS`]).
-    pub const fn new(name: &'static str) -> Self {
+    const fn new(name: &'static str) -> Self {
         // `AtomicU64` is not `Copy`; build the bucket array by const
         // repetition of an initializer constant.
         #[allow(clippy::declare_interior_mutable_const)]
@@ -234,11 +217,6 @@ impl Histogram {
         }
     }
 
-    /// Metric name.
-    pub fn name(&self) -> &'static str {
-        self.name
-    }
-
     fn reset(&self) {
         self.count.store(0, Ordering::Relaxed);
         self.sum.store(0, Ordering::Relaxed);
@@ -250,152 +228,215 @@ impl Histogram {
     }
 }
 
+/// One registered metric, as [`REGISTRY`] lists it.
+#[derive(Clone, Copy)]
+pub enum Metric {
+    /// A [`Counter`].
+    Counter(&'static Counter),
+    /// A [`Gauge`].
+    Gauge(&'static Gauge),
+    /// A [`Histogram`].
+    Hist(&'static Histogram),
+}
+
+impl Metric {
+    /// Metric name (`section.key`).
+    pub fn name(self) -> &'static str {
+        match self {
+            Metric::Counter(c) => c.name,
+            Metric::Gauge(g) => g.name,
+            Metric::Hist(h) => h.name,
+        }
+    }
+
+    /// The trace line kind: `counter`, `gauge` or `hist`.
+    pub(crate) fn kind(self) -> &'static str {
+        match self {
+            Metric::Counter(_) => "counter",
+            Metric::Gauge(_) => "gauge",
+            Metric::Hist(_) => "hist",
+        }
+    }
+
+    /// Whether the metric is deterministic (golden-hash eligible); only a
+    /// counter can be.
+    pub fn det(self) -> bool {
+        matches!(self, Metric::Counter(c) if c.det)
+    }
+
+    /// The live value, as the payload fields of its trace line: `value`
+    /// for a counter or gauge; `count`, `sum`, `min`, `max`, `p50` and
+    /// `p99` for a histogram.
+    pub(crate) fn fields(self) -> Map {
+        let mut m = Map::new();
+        let mut put = |k: &str, v: u64| m.insert(k.into(), v.into());
+        match self {
+            Metric::Counter(c) => put("value", c.get()),
+            Metric::Gauge(g) => put("value", g.get()),
+            Metric::Hist(h) => {
+                let s = h.snapshot();
+                put("count", s.count);
+                put("sum", s.sum);
+                put("min", s.min);
+                put("max", s.max);
+                put("p50", s.p50);
+                put("p99", s.p99);
+            }
+        }
+        m
+    }
+
+    fn reset(self) {
+        match self {
+            Metric::Counter(c) => c.reset(),
+            Metric::Gauge(g) => g.reset(),
+            Metric::Hist(h) => h.reset(),
+        }
+    }
+}
+
+/// Declares every metric once: each `pub static`, and [`REGISTRY`] in
+/// snapshot order (counters, gauges, then histograms, each in the order
+/// declared).
+macro_rules! registry {
+    (
+        counters { $($(#[$c_doc:meta])* $c:ident: $c_name:literal, det = $c_det:literal;)* }
+        gauges { $($(#[$g_doc:meta])* $g:ident: $g_name:literal;)* }
+        histograms { $($(#[$h_doc:meta])* $h:ident: $h_name:literal;)* }
+    ) => {
+        $($(#[$c_doc])* pub static $c: Counter = Counter::new($c_name, $c_det);)*
+        $($(#[$g_doc])* pub static $g: Gauge = Gauge::new($g_name);)*
+        $($(#[$h_doc])* pub static $h: Histogram = Histogram::new($h_name);)*
+
+        /// Every registered metric, in snapshot order.
+        pub static REGISTRY: &[Metric] = &[
+            $(Metric::Counter(&$c),)*
+            $(Metric::Gauge(&$g),)*
+            $(Metric::Hist(&$h),)*
+        ];
+    };
+}
+
 // ---------------------------------------------------------------------------
 // Registry
 // ---------------------------------------------------------------------------
 
-/// Square matmul dispatches (`matmul_into` family entry).
-pub static KERNEL_MATMUL: Counter = Counter::new("kernel.matmul", true);
-/// `AᵀB` matmul dispatches.
-pub static KERNEL_MATMUL_AT_B: Counter = Counter::new("kernel.matmul_at_b", true);
-/// `ABᵀ` matmul dispatches.
-pub static KERNEL_MATMUL_A_BT: Counter = Counter::new("kernel.matmul_a_bt", true);
-/// Flat (time-batched) matmul dispatches.
-pub static KERNEL_MATMUL_FLAT: Counter = Counter::new("kernel.matmul_flat", true);
-/// Elementwise map dispatches (`map`/`map_into`/`map_in_place`/`par_map`).
-pub static KERNEL_MAP: Counter = Counter::new("kernel.map", true);
-/// Elementwise zip dispatches (`zip_with` family).
-pub static KERNEL_ZIP: Counter = Counter::new("kernel.zip", true);
-/// Axis-0 reduction dispatches.
-pub static KERNEL_SUM_AXIS0: Counter = Counter::new("kernel.sum_axis0", true);
-/// Row-broadcast add dispatches.
-pub static KERNEL_ADD_ROW_BROADCAST: Counter = Counter::new("kernel.add_row_broadcast", true);
-/// Matmul dispatches that stayed serial under the `PAR_GRAIN_MACS` gate.
-/// Size-based, decided before any threading — deterministic.
-pub static KERNEL_SERIAL_BELOW_GRAIN: Counter = Counter::new("kernel.serial_below_grain", true);
-/// Int8×int8 matmul dispatches (the `InferenceMode::Int8` lane; must
-/// stay 0 across any training run).
-pub static KERNEL_QMATMUL: Counter = Counter::new("kernel.qmatmul", true);
-/// Weight-matrix quantizations performed (checkpoint-load / prepare
-/// time, plus per-batch activation-row quantization dispatches).
-pub static KERNEL_QUANTIZE: Counter = Counter::new("kernel.quantize", true);
-/// Adam optimizer steps.
-pub static OPTIM_ADAM_STEP: Counter = Counter::new("optim.adam_step", true);
-/// Divergence-sentinel epoch rollbacks.
-pub static TRAIN_ROLLBACKS: Counter = Counter::new("train.rollbacks", true);
-/// Checkpoint saves completed.
-pub static CKPT_SAVES: Counter = Counter::new("ckpt.saves", true);
-/// Checkpoint restores completed.
-pub static CKPT_RESTORES: Counter = Counter::new("ckpt.restores", true);
-/// Parallel regions executed on the worker pool (thread-count-dependent).
-pub static PAR_REGIONS_POOLED: Counter = Counter::new("par.regions_pooled", false);
-/// Parallel regions executed inline (serial path / nested / below grain).
-pub static PAR_REGIONS_INLINE: Counter = Counter::new("par.regions_inline", false);
-/// Tasks distributed across pooled regions.
-pub static PAR_TASKS: Counter = Counter::new("par.tasks", false);
-/// Black-box attack runs completed (one per attack × model evaluation).
-pub static ATTACK_RUNS: Counter = Counter::new("attack.runs", true);
-/// Model forward queries consumed by black-box attacks.
-pub static ATTACK_QUERIES: Counter = Counter::new("attack.queries", true);
-/// RDAT robust steps taken (one per batch when the defense is enabled).
-pub static RDAT_STEPS: Counter = Counter::new("rdat.steps", true);
-/// I/O retries taken by the bounded retry policy (save/restore path).
-pub static IO_RETRIES: Counter = Counter::new("io.retry", true);
-/// Faults injected by the `apots-faults` shim (0 unless a fault backend
-/// is armed; deterministic given the `APOTS_FAULTS` spec).
-pub static FAULTS_INJECTED: Counter = Counter::new("faults.injected", true);
-/// HTTP requests answered by `apots-serve` (all endpoints; deterministic
-/// for a fixed query storm).
-pub static SERVE_REQUESTS: Counter = Counter::new("serve.requests", true);
-/// Predictions computed by `apots-serve` (one per `/predict` query;
-/// deterministic for a fixed query storm).
-pub static SERVE_PREDICTIONS: Counter = Counter::new("serve.predictions", true);
-/// Forward passes run by `apots-serve`: one per prediction, since each
-/// request is answered alone by the worker that parsed it.
-pub static SERVE_BATCHES: Counter = Counter::new("serve.batches", false);
-/// Model snapshots hot-swapped in by the serve watcher (depends on
-/// poll timing relative to checkpoint writes).
-pub static SERVE_SWAPS: Counter = Counter::new("serve.swaps", false);
-/// Snapshot candidates rejected by the serve watcher (torn, corrupt or
-/// shape-mismatched checkpoints that must never reach traffic).
-pub static SERVE_SWAPS_REJECTED: Counter = Counter::new("serve.swaps_rejected", false);
-/// Scenario corpora realized from a parsed network-scenario spec (bumped
-/// once per generation on the driving thread).
-pub static SCENARIO_CORPORA: Counter = Counter::new("scenario.corpora", true);
-/// Evaluation segments selected by a network scenario report.
-pub static SCENARIO_SEGMENTS: Counter = Counter::new("scenario.segments", true);
-/// Per-(segment × predictor-kind) grid runs fanned out by a network
-/// scenario report (counted at job creation, before any threading
-/// decision — deterministic).
-pub static SCENARIO_RUNS: Counter = Counter::new("scenario.runs", true);
-
-/// Every registered counter, in stable snapshot order.
-pub static ALL_COUNTERS: &[&Counter] = &[
-    &KERNEL_MATMUL,
-    &KERNEL_MATMUL_AT_B,
-    &KERNEL_MATMUL_A_BT,
-    &KERNEL_MATMUL_FLAT,
-    &KERNEL_MAP,
-    &KERNEL_ZIP,
-    &KERNEL_SUM_AXIS0,
-    &KERNEL_ADD_ROW_BROADCAST,
-    &KERNEL_SERIAL_BELOW_GRAIN,
-    &KERNEL_QMATMUL,
-    &KERNEL_QUANTIZE,
-    &OPTIM_ADAM_STEP,
-    &TRAIN_ROLLBACKS,
-    &CKPT_SAVES,
-    &CKPT_RESTORES,
-    &PAR_REGIONS_POOLED,
-    &PAR_REGIONS_INLINE,
-    &PAR_TASKS,
-    &ATTACK_RUNS,
-    &ATTACK_QUERIES,
-    &RDAT_STEPS,
-    &IO_RETRIES,
-    &FAULTS_INJECTED,
-    &SERVE_REQUESTS,
-    &SERVE_PREDICTIONS,
-    &SERVE_BATCHES,
-    &SERVE_SWAPS,
-    &SERVE_SWAPS_REJECTED,
-    &SCENARIO_CORPORA,
-    &SCENARIO_SEGMENTS,
-    &SCENARIO_RUNS,
-];
-
-/// High-water mark of live pool worker threads.
-pub static GAUGE_PAR_WORKERS: Gauge = Gauge::new("par.workers");
-
-/// Every registered gauge, in stable snapshot order.
-pub static ALL_GAUGES: &[&Gauge] = &[&GAUGE_PAR_WORKERS];
-
-/// Checkpoint save latency (ns).
-pub static HIST_CKPT_SAVE_NS: Histogram = Histogram::new("ckpt.save_ns");
-/// Checkpoint restore latency (ns).
-pub static HIST_CKPT_RESTORE_NS: Histogram = Histogram::new("ckpt.restore_ns");
-/// Per-request `apots-serve` latency (ns), recorded per HTTP request by
-/// the connection workers (read → respond → body staged).
-pub static HIST_SERVE_LATENCY_NS: Histogram = Histogram::new("serve.latency_ns");
-
-/// Every registered histogram, in stable snapshot order.
-pub static ALL_HISTS: &[&Histogram] = &[
-    &HIST_CKPT_SAVE_NS,
-    &HIST_CKPT_RESTORE_NS,
-    &HIST_SERVE_LATENCY_NS,
-];
+registry! {
+    counters {
+        /// Square matmul dispatches (`matmul_into` family entry).
+        KERNEL_MATMUL: "kernel.matmul", det = true;
+        /// `AᵀB` matmul dispatches.
+        KERNEL_MATMUL_AT_B: "kernel.matmul_at_b", det = true;
+        /// `ABᵀ` matmul dispatches.
+        KERNEL_MATMUL_A_BT: "kernel.matmul_a_bt", det = true;
+        /// Flat (time-batched) matmul dispatches.
+        KERNEL_MATMUL_FLAT: "kernel.matmul_flat", det = true;
+        /// Elementwise map dispatches (`map`/`map_into`/`map_in_place`/`par_map`).
+        KERNEL_MAP: "kernel.map", det = true;
+        /// Elementwise zip dispatches (`zip_with` family).
+        KERNEL_ZIP: "kernel.zip", det = true;
+        /// Axis-0 reduction dispatches.
+        KERNEL_SUM_AXIS0: "kernel.sum_axis0", det = true;
+        /// Row-broadcast add dispatches.
+        KERNEL_ADD_ROW_BROADCAST: "kernel.add_row_broadcast", det = true;
+        /// Matmul dispatches that stayed serial under the `PAR_GRAIN_MACS` gate.
+        /// Size-based, decided before any threading — deterministic.
+        KERNEL_SERIAL_BELOW_GRAIN: "kernel.serial_below_grain", det = true;
+        /// Int8×int8 matmul dispatches (the `InferenceMode::Int8` lane; must
+        /// stay 0 across any training run).
+        KERNEL_QMATMUL: "kernel.qmatmul", det = true;
+        /// Weight-matrix quantizations performed (checkpoint-load / prepare
+        /// time, plus per-batch activation-row quantization dispatches).
+        KERNEL_QUANTIZE: "kernel.quantize", det = true;
+        /// Adam optimizer steps.
+        OPTIM_ADAM_STEP: "optim.adam_step", det = true;
+        /// Divergence-sentinel epoch rollbacks.
+        TRAIN_ROLLBACKS: "train.rollbacks", det = true;
+        /// Checkpoint saves completed.
+        CKPT_SAVES: "ckpt.saves", det = true;
+        /// Checkpoint restores completed.
+        CKPT_RESTORES: "ckpt.restores", det = true;
+        /// Parallel regions executed on the worker pool (thread-count-dependent).
+        PAR_REGIONS_POOLED: "par.regions_pooled", det = false;
+        /// Parallel regions executed inline (serial path / nested / below grain).
+        PAR_REGIONS_INLINE: "par.regions_inline", det = false;
+        /// Tasks distributed across pooled regions.
+        PAR_TASKS: "par.tasks", det = false;
+        /// Black-box attack runs completed (one per attack × model evaluation).
+        ATTACK_RUNS: "attack.runs", det = true;
+        /// Model forward queries consumed by black-box attacks.
+        ATTACK_QUERIES: "attack.queries", det = true;
+        /// RDAT robust steps taken (one per batch when the defense is enabled).
+        RDAT_STEPS: "rdat.steps", det = true;
+        /// I/O retries taken by the bounded retry policy (save/restore path).
+        IO_RETRIES: "io.retry", det = true;
+        /// Faults injected by the `apots-faults` shim (0 unless a fault backend
+        /// is armed; deterministic given the `APOTS_FAULTS` spec).
+        FAULTS_INJECTED: "faults.injected", det = true;
+        /// HTTP requests answered by `apots-serve` (all endpoints; deterministic
+        /// for a fixed query storm).
+        SERVE_REQUESTS: "serve.requests", det = true;
+        /// Predictions computed by `apots-serve` (one per `/predict` query;
+        /// deterministic for a fixed query storm).
+        SERVE_PREDICTIONS: "serve.predictions", det = true;
+        /// Forward passes run by `apots-serve`: one per prediction, since each
+        /// request is answered alone by the worker that parsed it.
+        SERVE_BATCHES: "serve.batches", det = false;
+        /// Model snapshots hot-swapped in by the serve watcher (depends on
+        /// poll timing relative to checkpoint writes).
+        SERVE_SWAPS: "serve.swaps", det = false;
+        /// Snapshot candidates rejected by the serve watcher (torn, corrupt or
+        /// shape-mismatched checkpoints that must never reach traffic).
+        SERVE_SWAPS_REJECTED: "serve.swaps_rejected", det = false;
+        /// Scenario corpora realized from a parsed network-scenario spec (bumped
+        /// once per generation on the driving thread).
+        SCENARIO_CORPORA: "scenario.corpora", det = true;
+        /// Evaluation segments selected by a network scenario report.
+        SCENARIO_SEGMENTS: "scenario.segments", det = true;
+        /// Per-(segment × predictor-kind) grid runs fanned out by a network
+        /// scenario report (counted at job creation, before any threading
+        /// decision — deterministic).
+        SCENARIO_RUNS: "scenario.runs", det = true;
+    }
+    gauges {
+        /// High-water mark of live pool worker threads.
+        GAUGE_PAR_WORKERS: "par.workers";
+    }
+    histograms {
+        /// Checkpoint save latency (ns).
+        HIST_CKPT_SAVE_NS: "ckpt.save_ns";
+        /// Checkpoint restore latency (ns).
+        HIST_CKPT_RESTORE_NS: "ckpt.restore_ns";
+        /// Per-request `apots-serve` latency (ns), recorded per HTTP request by
+        /// the connection workers (read → respond → body staged).
+        HIST_SERVE_LATENCY_NS: "serve.latency_ns";
+    }
+}
 
 /// Zeroes every registered metric (fresh session).
 pub fn reset_all() {
-    for c in ALL_COUNTERS {
-        c.reset();
+    for m in REGISTRY {
+        m.reset();
     }
-    for g in ALL_GAUGES {
-        g.reset();
-    }
-    for h in ALL_HISTS {
-        h.reset();
-    }
+}
+
+/// The live value of every metric named `section.key`, keyed by `key`:
+/// a counter's or gauge's value, or an object of a histogram's `count`,
+/// `sum`, `min`, `max`, `p50` and `p99`. Serve's `/metrics` body is the
+/// `serve` section plus its own keys.
+pub fn section(section: &str) -> Map {
+    REGISTRY
+        .iter()
+        .filter_map(|m| {
+            let key = m.name().strip_prefix(section)?.strip_prefix('.')?;
+            let fields = m.fields();
+            let value = match m {
+                Metric::Hist(_) => Json::Obj(fields),
+                _ => fields.get("value")?.clone(),
+            };
+            Some((key.to_string(), value))
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -404,9 +445,7 @@ mod tests {
 
     #[test]
     fn registry_names_are_unique() {
-        let mut names: Vec<&str> = ALL_COUNTERS.iter().map(|c| c.name()).collect();
-        names.extend(ALL_GAUGES.iter().map(|g| g.name()));
-        names.extend(ALL_HISTS.iter().map(|h| h.name()));
+        let mut names: Vec<&str> = REGISTRY.iter().map(|m| m.name()).collect();
         let n = names.len();
         names.sort_unstable();
         names.dedup();

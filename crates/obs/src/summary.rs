@@ -1,7 +1,13 @@
 //! Trace aggregation (`apots metrics-summary`) and the deterministic
-//! golden hash over a trace's thread-count-invariant subset.
+//! golden projection and hash over a trace's thread-count-invariant
+//! subset.
 
 use apots_serde::{Json, Map};
+
+/// The summary's own top-level keys. A metric `section.key` is filed at
+/// `summary[section][key]`, so no section may be named like one of these.
+pub(crate) const TOP_LEVEL_KEYS: [&str; 5] =
+    ["schema", "trace", "epochs", "early_stop_epoch", "det_hash"];
 
 fn parse_lines(text: &str) -> Result<Vec<Json>, String> {
     let mut out = Vec::new();
@@ -34,20 +40,20 @@ fn f(j: &Json, key: &str) -> Option<f64> {
     j.get(key).and_then(|v| v.as_f64())
 }
 
-/// FNV-1a over the canonical projection of a trace's deterministic subset.
+/// The canonical projection of a trace's deterministic subset, one
+/// compact JSON line per kept record.
 ///
 /// Keeps lines with `det: true`, projects each onto its wall-clock- and
 /// thread-invariant fields (`kind`, `name`, payload values — never `t_ns`,
-/// `dur_ns` or `thread`), re-serializes compactly in file order (then
-/// registry order for counters) and hashes the concatenation. Two traced
-/// runs of the same seeded workload must produce equal hashes at any
-/// `APOTS_THREADS`.
+/// `dur_ns` or `thread`) and re-serializes them compactly in file order
+/// (then registry order for counters). Two traced runs of the same seeded
+/// workload must give equal projections at any `APOTS_THREADS`.
 ///
 /// Counter lines whose value is 0 are skipped: a counter the run never
 /// bumped says nothing about what it did, so registering or deleting a
-/// counter leaves the hash alone, while one that moves to or from 0
+/// counter leaves the projection alone, while one that moves to or from 0
 /// still changes it.
-pub fn det_hash(text: &str) -> Result<u64, String> {
+pub fn det_projection(text: &str) -> Result<String, String> {
     let lines = parse_lines(text)?;
     let mut canon = String::new();
     for j in &lines {
@@ -82,29 +88,60 @@ pub fn det_hash(text: &str) -> Result<u64, String> {
         canon.push_str(&Json::Obj(m).to_string());
         canon.push('\n');
     }
-    Ok(apots_serde::atomic::fnv1a_64(canon.as_bytes()))
+    Ok(canon)
 }
 
-fn ns_stats(count: f64, sum: f64, min: f64, max: f64) -> Map {
+/// FNV-1a over [`det_projection`]: the trace's golden hash.
+pub fn det_hash(text: &str) -> Result<u64, String> {
+    Ok(apots_serde::atomic::fnv1a_64(
+        det_projection(text)?.as_bytes(),
+    ))
+}
+
+/// A `hist` line's sample count and ns statistics.
+fn hist_stats(j: &Json) -> Json {
+    let get = |key| f(j, key).unwrap_or(0.0);
+    let (count, sum) = (get("count"), get("sum"));
     let mut m = Map::new();
     m.insert("count".into(), Json::Num(count));
     m.insert("sum_ns".into(), Json::Num(sum));
-    m.insert("min_ns".into(), Json::Num(min));
-    m.insert("max_ns".into(), Json::Num(max));
+    m.insert("min_ns".into(), Json::Num(get("min")));
+    m.insert("max_ns".into(), Json::Num(get("max")));
     m.insert(
         "mean_ns".into(),
         Json::Num(if count > 0.0 { sum / count } else { 0.0 }),
     );
-    m
+    if let (Some(p50), Some(p99)) = (f(j, "p50"), f(j, "p99")) {
+        m.insert("p50_ns".into(), Json::Num(p50));
+        m.insert("p99_ns".into(), Json::Num(p99));
+    }
+    Json::Obj(m)
+}
+
+/// The section named `name`, appended on first use.
+fn section<'a>(sections: &'a mut Vec<(String, Map)>, name: &str) -> &'a mut Map {
+    let i = match sections.iter().position(|(n, _)| n == name) {
+        Some(i) => i,
+        None => {
+            sections.push((name.to_string(), Map::new()));
+            sections.len() - 1
+        }
+    };
+    &mut sections[i].1
 }
 
 /// Aggregates a JSONL trace into the `metrics-summary` report.
 ///
-/// The report is strict JSON (round-trips through `apots-serde`) with:
-/// per-epoch losses (`epochs`), divergence-sentinel rollbacks and
-/// early-stop state, checkpoint I/O latencies and bytes, pool utilization
-/// and the per-family kernel dispatch mix, plus the trace's deterministic
-/// golden hash.
+/// The report is strict JSON (round-trips through `apots-serde`). Its
+/// own keys are `schema`, `trace` (the trace's event and drop counts),
+/// `epochs` (per-epoch losses), `early_stop_epoch` and `det_hash` (the
+/// trace's deterministic golden hash). Every `counter`, `gauge` and `hist` line is
+/// filed under the section its name's prefix names, keyed by the rest of
+/// its name (`ckpt.save_ns` lands at `summary.ckpt.save_ns`), a histogram
+/// as its count and ns statistics. Three value-event aggregates join the
+/// section of the metrics they explain: `ckpt.bytes_saved`,
+/// `par.mean_tasks_per_region` / `par.mean_runners_per_region` and
+/// `attack.measurements`.
 pub fn summarize(text: &str) -> Result<Json, String> {
     let lines = parse_lines(text)?;
 
@@ -122,15 +159,12 @@ pub fn summarize(text: &str) -> Result<Json, String> {
         epochs.last_mut().unwrap()
     }
     let mut epochs: Vec<Map> = Vec::new();
-    let mut rollbacks_seen = 0u64;
     let mut early_stop = Json::Null;
     let mut ckpt_bytes = 0.0f64;
     let mut region_count = 0u64;
     let mut runner_sum = 0.0f64;
     let mut task_sum = 0.0f64;
-    let mut counters = Map::new();
-    let mut gauges = Map::new();
-    let mut hists: Vec<(String, Json)> = Vec::new();
+    let mut sections: Vec<(String, Map)> = Vec::new();
     let mut n_events = 0u64;
     let mut dropped = 0.0f64;
     let mut attack_runs_detail: Vec<Json> = Vec::new();
@@ -148,7 +182,6 @@ pub fn summarize(text: &str) -> Result<Json, String> {
                             epoch_slot(&mut epochs, e).insert(field.into(), v.clone());
                         }
                     }
-                    "sentinel.rollback" => rollbacks_seen += 1,
                     "earlystop.stop" => {
                         early_stop = j.get("v0").cloned().unwrap_or(Json::Null);
                     }
@@ -170,120 +203,41 @@ pub fn summarize(text: &str) -> Result<Json, String> {
                 }
             }
             "span_open" | "span_close" => n_events += 1,
-            "counter" => {
-                if let Some(v) = j.get("value") {
-                    counters.insert(name(j).to_string(), v.clone());
-                }
-            }
-            "gauge" => {
-                if let Some(v) = j.get("value") {
-                    gauges.insert(name(j).to_string(), v.clone());
-                }
-            }
-            "hist" => {
-                let mut stats = ns_stats(
-                    f(j, "count").unwrap_or(0.0),
-                    f(j, "sum").unwrap_or(0.0),
-                    f(j, "min").unwrap_or(0.0),
-                    f(j, "max").unwrap_or(0.0),
-                );
-                if let (Some(p50), Some(p99)) = (f(j, "p50"), f(j, "p99")) {
-                    stats.insert("p50_ns".into(), Json::Num(p50));
-                    stats.insert("p99_ns".into(), Json::Num(p99));
-                }
-                hists.push((name(j).to_string(), Json::Obj(stats)));
+            k @ ("counter" | "gauge" | "hist") => {
+                let nm = name(j);
+                let (prefix, key) = nm
+                    .split_once('.')
+                    .filter(|(p, _)| !TOP_LEVEL_KEYS.contains(p))
+                    .ok_or_else(|| {
+                        format!(
+                            "metric {nm:?} names no section (a metric is `section.key`, \
+                             with a section other than {TOP_LEVEL_KEYS:?})"
+                        )
+                    })?;
+                let value = if k == "hist" {
+                    hist_stats(j)
+                } else {
+                    j.get("value").cloned().unwrap_or(Json::Null)
+                };
+                section(&mut sections, prefix).insert(key.into(), value);
             }
             "dropped" => dropped += f(j, "count").unwrap_or(0.0),
             _ => {}
         }
     }
 
-    let counter = |n: &str| counters.get(n).cloned().unwrap_or(Json::Num(0.0));
-    let counter_f = |n: &str| counters.get(n).and_then(|v| v.as_f64()).unwrap_or(0.0);
-
-    let mut ckpt = Map::new();
-    ckpt.insert("saves".into(), counter("ckpt.saves"));
-    ckpt.insert("restores".into(), counter("ckpt.restores"));
-    ckpt.insert("bytes_saved".into(), Json::Num(ckpt_bytes));
-    let mut serve_latency = Json::Null;
-    for (nm, stats) in hists {
-        let key = match nm.as_str() {
-            "ckpt.save_ns" => "save_latency",
-            "ckpt.restore_ns" => "restore_latency",
-            // Serving latency belongs to the serve section, not the
-            // checkpoint one.
-            "serve.latency_ns" => {
-                serve_latency = stats;
-                continue;
-            }
-            other => other,
-        };
-        ckpt.insert(key.into(), stats);
-    }
-
-    let mut pool = Map::new();
-    pool.insert(
-        "workers".into(),
-        gauges.get("par.workers").cloned().unwrap_or(Json::Num(0.0)),
-    );
-    pool.insert("regions_pooled".into(), counter("par.regions_pooled"));
-    pool.insert("regions_inline".into(), counter("par.regions_inline"));
-    pool.insert("tasks".into(), counter("par.tasks"));
-    pool.insert(
-        "mean_runners_per_region".into(),
+    section(&mut sections, "ckpt").insert("bytes_saved".into(), Json::Num(ckpt_bytes));
+    let per_region = |sum: f64| {
         Json::Num(if region_count > 0 {
-            runner_sum / region_count as f64
+            sum / region_count as f64
         } else {
             0.0
-        }),
-    );
-    pool.insert(
-        "mean_tasks_per_region".into(),
-        Json::Num(if region_count > 0 {
-            task_sum / region_count as f64
-        } else {
-            0.0
-        }),
-    );
-    pool.insert(
-        "serial_below_grain".into(),
-        counter("kernel.serial_below_grain"),
-    );
-
-    let mut kernels = Map::new();
-    let mut kernel_total = 0.0;
-    for (nm, v) in counters.iter() {
-        if let Some(short) = nm.strip_prefix("kernel.") {
-            if short != "serial_below_grain" {
-                kernels.insert(short.to_string(), v.clone());
-                kernel_total += v.as_f64().unwrap_or(0.0);
-            }
-        }
-    }
-    kernels.insert("total_dispatches".into(), Json::Num(kernel_total));
-
-    // --- robustness harness: attack runs and the RDAT defense ------------
-    let mut attack = Map::new();
-    attack.insert("runs".into(), counter("attack.runs"));
-    attack.insert("queries".into(), counter("attack.queries"));
-    attack.insert("rdat_steps".into(), counter("rdat.steps"));
-    attack.insert("measurements".into(), Json::Arr(attack_runs_detail));
-
-    // --- fault plane: retries taken and faults injected ------------------
-    let mut io = Map::new();
-    io.insert("retries".into(), counter("io.retry"));
-    io.insert("faults_injected".into(), counter("faults.injected"));
-
-    // --- online serving: request volume and snapshot hot-swaps -----------
-    let mut serve = Map::new();
-    serve.insert("requests".into(), counter("serve.requests"));
-    serve.insert("predictions".into(), counter("serve.predictions"));
-    serve.insert("batches".into(), counter("serve.batches"));
-    serve.insert("swaps".into(), counter("serve.swaps"));
-    serve.insert("swaps_rejected".into(), counter("serve.swaps_rejected"));
-    if serve_latency != Json::Null {
-        serve.insert("request_latency".into(), serve_latency);
-    }
+        })
+    };
+    let par = section(&mut sections, "par");
+    par.insert("mean_tasks_per_region".into(), per_region(task_sum));
+    par.insert("mean_runners_per_region".into(), per_region(runner_sum));
+    section(&mut sections, "attack").insert("measurements".into(), Json::Arr(attack_runs_detail));
 
     let mut trace = Map::new();
     trace.insert("events".into(), Json::Num(n_events as f64));
@@ -296,18 +250,10 @@ pub fn summarize(text: &str) -> Result<Json, String> {
         "epochs".into(),
         Json::Arr(epochs.into_iter().map(Json::Obj).collect()),
     );
-    root.insert(
-        "rollbacks".into(),
-        Json::Num(rollbacks_seen.max(counter_f("train.rollbacks") as u64) as f64),
-    );
     root.insert("early_stop_epoch".into(), early_stop);
-    root.insert("checkpoints".into(), Json::Obj(ckpt));
-    root.insert("pool".into(), Json::Obj(pool));
-    root.insert("kernels".into(), Json::Obj(kernels));
-    root.insert("optim_steps".into(), counter("optim.adam_step"));
-    root.insert("attack".into(), Json::Obj(attack));
-    root.insert("io".into(), Json::Obj(io));
-    root.insert("serve".into(), Json::Obj(serve));
+    for (name, m) in sections {
+        root.insert(name, Json::Obj(m));
+    }
     root.insert(
         "det_hash".into(),
         Json::Str(format!("{:#018x}", det_hash(text)?)),
@@ -333,6 +279,15 @@ mod tests {
 {"kind":"hist","name":"ckpt.save_ns","det":false,"count":1,"sum":5000,"min":5000,"max":5000}
 "#;
 
+    /// A trace of every registered metric at zero, as a session that
+    /// recorded nothing renders it.
+    fn zeroed_trace() -> String {
+        let _g = crate::tests::sess();
+        crate::enable(None);
+        crate::disable();
+        crate::render()
+    }
+
     #[test]
     fn summarize_reports_epochs_ckpt_and_pool() {
         let s = summarize(SAMPLE).unwrap();
@@ -340,21 +295,27 @@ mod tests {
         assert_eq!(epochs.len(), 1);
         assert_eq!(epochs[0].get("mse").unwrap().as_f64().unwrap(), 0.5);
         assert_eq!(epochs[0].get("grad_norm").unwrap().as_f64().unwrap(), 1.25);
-        let ckpt = s.get("checkpoints").unwrap();
+        let ckpt = s.get("ckpt").unwrap();
+        assert_eq!(ckpt.get("saves").unwrap().as_f64(), Some(1.0));
         assert_eq!(ckpt.get("bytes_saved").unwrap().as_f64().unwrap(), 4096.0);
         assert_eq!(
-            ckpt.get("save_latency")
+            ckpt.get("save_ns")
                 .unwrap()
                 .get("mean_ns")
                 .unwrap()
                 .as_f64(),
             Some(5000.0)
         );
-        let pool = s.get("pool").unwrap();
-        assert_eq!(pool.get("workers").unwrap().as_f64(), Some(3.0));
+        let par = s.get("par").unwrap();
+        assert_eq!(par.get("workers").unwrap().as_f64(), Some(3.0));
+        assert_eq!(par.get("regions_pooled").unwrap().as_f64(), Some(4.0));
         assert_eq!(
-            pool.get("mean_runners_per_region").unwrap().as_f64(),
+            par.get("mean_runners_per_region").unwrap().as_f64(),
             Some(3.0)
+        );
+        assert_eq!(
+            s.get("kernel").unwrap().get("matmul").unwrap().as_f64(),
+            Some(12.0)
         );
         // the report itself is strict JSON
         let text = s.to_string();
@@ -375,15 +336,22 @@ mod tests {
         let attack = s.get("attack").unwrap();
         assert_eq!(attack.get("runs").unwrap().as_f64(), Some(1.0));
         assert_eq!(attack.get("queries").unwrap().as_f64(), Some(256.0));
-        assert_eq!(attack.get("rdat_steps").unwrap().as_f64(), Some(8.0));
+        assert_eq!(
+            s.get("rdat").unwrap().get("steps").unwrap().as_f64(),
+            Some(8.0)
+        );
         let ms = attack.get("measurements").unwrap().as_array().unwrap();
         assert_eq!(ms.len(), 1);
         assert_eq!(ms[0].get("clean_mse").unwrap().as_f64(), Some(0.5));
         assert_eq!(ms[0].get("attacked_mse").unwrap().as_f64(), Some(0.9));
-        // An attack-free trace still carries the (zeroed) section.
-        let plain = summarize(SAMPLE).unwrap();
+        // An attack-free session still carries the (zeroed) sections.
+        let plain = summarize(&zeroed_trace()).unwrap();
         assert_eq!(
             plain.get("attack").unwrap().get("runs").unwrap().as_f64(),
+            Some(0.0)
+        );
+        assert_eq!(
+            plain.get("rdat").unwrap().get("steps").unwrap().as_f64(),
             Some(0.0)
         );
     }
@@ -395,13 +363,27 @@ mod tests {
 {"kind":"counter","name":"faults.injected","det":true,"value":2}
 "#;
         let s = summarize(trace).unwrap();
-        let io = s.get("io").unwrap();
-        assert_eq!(io.get("retries").unwrap().as_f64(), Some(3.0));
-        assert_eq!(io.get("faults_injected").unwrap().as_f64(), Some(2.0));
-        // A fault-free trace still carries the (zeroed) section.
-        let plain = summarize(SAMPLE).unwrap();
         assert_eq!(
-            plain.get("io").unwrap().get("retries").unwrap().as_f64(),
+            s.get("io").unwrap().get("retry").unwrap().as_f64(),
+            Some(3.0)
+        );
+        assert_eq!(
+            s.get("faults").unwrap().get("injected").unwrap().as_f64(),
+            Some(2.0)
+        );
+        // A fault-free session still carries the (zeroed) sections.
+        let plain = summarize(&zeroed_trace()).unwrap();
+        assert_eq!(
+            plain.get("io").unwrap().get("retry").unwrap().as_f64(),
+            Some(0.0)
+        );
+        assert_eq!(
+            plain
+                .get("faults")
+                .unwrap()
+                .get("injected")
+                .unwrap()
+                .as_f64(),
             Some(0.0)
         );
     }
@@ -411,23 +393,39 @@ mod tests {
         let trace = r#"{"kind":"meta","schema":"apots-trace","version":1}
 {"kind":"counter","name":"serve.requests","det":false,"value":10}
 {"kind":"hist","name":"serve.latency_ns","det":false,"count":10,"sum":120000,"min":9000,"max":21000,"p50":12000,"p99":21000}
+{"kind":"hist","name":"stage.parse_ns","det":false,"count":2,"sum":800,"min":300,"max":500,"p50":300,"p99":500}
 "#;
         let s = summarize(trace).unwrap();
         let serve = s.get("serve").unwrap();
-        let lat = serve.get("request_latency").unwrap();
+        let lat = serve.get("latency_ns").unwrap();
         assert_eq!(lat.get("count").unwrap().as_f64(), Some(10.0));
         assert_eq!(lat.get("p50_ns").unwrap().as_f64(), Some(12000.0));
         assert_eq!(lat.get("p99_ns").unwrap().as_f64(), Some(21000.0));
         assert_eq!(lat.get("mean_ns").unwrap().as_f64(), Some(12000.0));
-        // It must NOT leak into the checkpoints map.
-        assert!(s
-            .get("checkpoints")
-            .unwrap()
-            .get("serve.latency_ns")
-            .is_none());
-        // A latency-free trace has no request_latency key at all.
-        let plain = summarize(SAMPLE).unwrap();
-        assert!(plain.get("serve").unwrap().get("request_latency").is_none());
+        // Neither histogram lands in the checkpoint section: each goes to
+        // its own prefix's.
+        let ckpt = s.get("ckpt").unwrap();
+        assert!(ckpt.get("latency_ns").is_none() && ckpt.get("parse_ns").is_none());
+        let stage = s.get("stage").unwrap().get("parse_ns").unwrap();
+        assert_eq!(stage.get("mean_ns").unwrap().as_f64(), Some(400.0));
+        // A session that served nothing reports an empty histogram.
+        let plain = summarize(&zeroed_trace()).unwrap();
+        let lat = plain.get("serve").unwrap().get("latency_ns").unwrap();
+        assert_eq!(lat.get("count").unwrap().as_f64(), Some(0.0));
+    }
+
+    /// A metric is `section.key`: a name with no section, or one whose
+    /// section would replace a top-level key, is refused by name.
+    #[test]
+    fn metric_without_its_own_section_is_an_error() {
+        for bad in ["requests", "trace.events", "det_hash.x"] {
+            let trace = format!("{{\"kind\":\"counter\",\"name\":\"{bad}\",\"value\":1}}\n");
+            let err = summarize(&trace).unwrap_err();
+            assert!(
+                err.starts_with(&format!("metric {bad:?} names no section")),
+                "{err}"
+            );
+        }
     }
 
     #[test]

@@ -433,6 +433,22 @@ mod tests {
         assert!(Json::parse("").is_err());
     }
 
+    /// A repeated key used to keep its last value, so a strict reader
+    /// never saw the first; it is refused by name, at any depth.
+    #[test]
+    fn rejects_a_repeated_key_by_name() {
+        let err = Json::parse(r#"{"exact": true, "exact": false}"#).unwrap_err();
+        assert_eq!(err.message, "duplicate key \"exact\" in object");
+        assert_eq!(err.offset, 16);
+        let nested = Json::parse(r#"{"m": [{"a": 1, "b": 2, "a": 1}]}"#).unwrap_err();
+        assert_eq!(
+            nested.to_string(),
+            "duplicate key \"a\" in object at byte 24"
+        );
+        // The same key in sibling objects is no repeat.
+        assert!(Json::parse(r#"[{"a": 1}, {"a": 2}]"#).is_ok());
+    }
+
     #[test]
     #[should_panic(expected = "non-finite")]
     fn writer_rejects_nan() {

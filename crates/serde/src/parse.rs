@@ -1,9 +1,10 @@
 //! Strict recursive-descent JSON parser.
 //!
 //! Accepts exactly the RFC 8259 grammar (no trailing commas, no comments,
-//! no leading zeros, no bare `NaN`/`Infinity`) and reports byte-offset
-//! error positions. Nesting depth is capped so hostile input cannot
-//! overflow the stack.
+//! no leading zeros, no bare `NaN`/`Infinity`), refuses an object that
+//! repeats a key (RFC 8259 leaves its meaning open; no APOTS writer emits
+//! one) and reports byte-offset error positions. Nesting depth is capped
+//! so hostile input cannot overflow the stack.
 
 use crate::{Json, Map};
 
@@ -134,7 +135,14 @@ impl<'a> Parser<'a> {
             if self.peek() != Some(b'"') {
                 return Err(self.err("expected string key in object"));
             }
+            let at = self.pos;
             let key = self.string()?;
+            if map.get(&key).is_some() {
+                return Err(Error {
+                    message: format!("duplicate key {key:?} in object"),
+                    offset: at,
+                });
+            }
             self.skip_ws();
             self.expect(b':')?;
             self.skip_ws();

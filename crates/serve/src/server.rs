@@ -33,6 +33,7 @@ use apots_obs::metrics::{
     HIST_SERVE_LATENCY_NS, SERVE_BATCHES, SERVE_PREDICTIONS, SERVE_REQUESTS, SERVE_SWAPS,
     SERVE_SWAPS_REJECTED,
 };
+use apots_serde::Json;
 use apots_traffic::{FeatureMask, SampleFeatures, TrafficDataset};
 
 use crate::cpu;
@@ -336,19 +337,12 @@ fn respond(s: &Shared, head: &[u8], feats: &mut SampleFeatures, resp: &mut Respo
         }
         "/metrics" => {
             let snap = s.cell.load();
-            let body = resp.body_mut();
-            let _ = write!(
-                body,
-                "{{\"requests\":{},\"predictions\":{},\"batches\":{},\"swaps\":{},\
-                 \"swaps_rejected\":{},\"quant\":\"{}\",\"version\":{}}}",
-                SERVE_REQUESTS.get(),
-                SERVE_PREDICTIONS.get(),
-                SERVE_BATCHES.get(),
-                SERVE_SWAPS.get(),
-                SERVE_SWAPS_REJECTED.get(),
-                snap.mode(),
-                snap.version(),
-            );
+            let mut m = apots_obs::metrics::section("serve");
+            // The metrics count only while telemetry is on (`--trace`).
+            m.insert("telemetry".into(), apots_obs::enabled().into());
+            m.insert("quant".into(), snap.mode().to_string().into());
+            m.insert("version".into(), snap.version().into());
+            let _ = write!(resp.body_mut(), "{}", Json::Obj(m));
             200
         }
         _ => {

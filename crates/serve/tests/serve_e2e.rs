@@ -13,7 +13,9 @@
 //!   non-GET method 405s;
 //! * keep-alive framing: pipelined requests are all answered in order,
 //!   and a request that declares a body is answered, then the
-//!   connection is closed.
+//!   connection is closed;
+//! * `/metrics` carries every `serve.*` metric and says whether
+//!   telemetry is counting them.
 //!
 //! The process-global knobs touched here (fault backend, thread pool,
 //! telemetry) force every test in this binary through one lock.
@@ -246,6 +248,47 @@ fn serves_predictions_healthz_metrics_and_rejects_bad_queries() {
     let (status, _) = c.get("/nope");
     assert_eq!(status, 404);
 
+    server.shutdown();
+}
+
+/// The metrics count only while telemetry is on (`apots serve --trace`),
+/// so `/metrics` says which: off, a 200 `/predict` leaves `predictions`
+/// at 0; on, it counts. Either way the body is strict JSON carrying
+/// every registered `serve.*` metric ahead of `quant` and `version`.
+#[test]
+fn metrics_say_whether_telemetry_is_counting() {
+    let _g = GLOBAL_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let data = dataset();
+    let server = start_server(&data, checkpoint(&data, PredictorKind::Fc, 42), None);
+    let mut c = Client::connect(server.addr());
+    let tau = data.config().alpha + data.config().beta + 17;
+    for on in [false, true] {
+        // A fresh session zeroes every metric.
+        apots_obs::enable(None);
+        if !on {
+            apots_obs::disable();
+        }
+        let (status, body) = c.get(&format!("/predict?road=1&t={tau}"));
+        assert_eq!(status, 200, "{body}");
+        let (status, body) = c.get("/metrics");
+        assert_eq!(status, 200, "{body}");
+        let m = Json::parse(&body).unwrap_or_else(|e| panic!("{e}: {body}"));
+        assert_eq!(
+            m.get("telemetry").and_then(Json::as_bool),
+            Some(on),
+            "{body}"
+        );
+        let predictions = m.get("predictions").and_then(Json::as_f64);
+        assert_eq!(predictions, Some(if on { 1.0 } else { 0.0 }), "{body}");
+        for metric in apots_obs::metrics::REGISTRY {
+            if let Some(key) = metric.name().strip_prefix("serve.") {
+                assert!(m.get(key).is_some(), "no {key:?} in {body}");
+            }
+        }
+        let keys: Vec<&str> = m.as_object().unwrap().iter().map(|(k, _)| k).collect();
+        assert_eq!(keys[keys.len() - 2..], ["quant", "version"], "{body}");
+    }
+    apots_obs::disable();
     server.shutdown();
 }
 

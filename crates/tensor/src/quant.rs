@@ -179,7 +179,6 @@ pub fn qmatmul(x: &Tensor, qw: &QTensor) -> Tensor {
     let xd = x.data();
     let qd = qw.q_data();
     let scales = qw.scales();
-    let wsums = &qw.storage().sums;
     apots_par::parallel_chunks_mut(out.data_mut(), chunk_rows * n, |ci, out_chunk| {
         let i0 = ci * chunk_rows;
         let rows = out_chunk.len() / n;
@@ -195,6 +194,7 @@ pub fn qmatmul(x: &Tensor, qw: &QTensor) -> Tensor {
         // all-128 and cancels exactly against the correction term.
         #[cfg(all(target_arch = "x86_64", target_feature = "avx512vnni"))]
         {
+            let wsums = &qw.storage().sums;
             let quantize_u8 = |row: usize, qx: &mut [i8], xu: &mut [u8]| {
                 let sa = quantize_row(&xd[row * k..(row + 1) * k], qx);
                 for (dst, &v) in xu.iter_mut().zip(qx.iter()) {

@@ -12,8 +12,9 @@
 #     report built over it are byte-identical at both thread counts and
 #     pinned by an FNV-1a hash;
 #   * the CLI `scenario` subcommand end to end: describe/generate/report
-#     on the demo spec, and a malformed spec must be rejected, naming the
-#     first missing key.
+#     on the demo spec, the traced report's `metrics-summary` carrying
+#     its `scenario` section, and a malformed spec must be rejected,
+#     naming the first missing key.
 set -euo pipefail
 cd "$(dirname "$0")/../.."
 
@@ -23,11 +24,20 @@ cargo test -p apots-traffic --test network_props --release --offline -q
 cargo test -p apots-experiments --test network_golden --release --offline -q
 
 cargo build -p apots-cli --release --offline
+mkdir -p results
 target/release/apots scenario describe --demo --segments 64
 target/release/apots scenario generate --demo --segments 64 --out results/scenario_demo.json
 target/release/apots scenario report --demo --segments 64 \
   --epochs 1 --max-train-samples 32 --samples 8 --eval-segments 2 \
-  --out results/scenario_report.json
+  --out results/scenario_report.json --trace results/scenario_trace.jsonl
+
+echo "== the traced report's summary carries its scenario counters =="
+summary=$(target/release/apots metrics-summary results/scenario_trace.jsonl --compact)
+if ! grep -qE '"scenario":\{"corpora":[1-9][0-9]*,"segments":2,"runs":[1-9]' <<<"$summary"; then
+  echo "ERROR: metrics-summary lacks the scenario section:" >&2
+  echo "$summary" >&2
+  exit 1
+fi
 
 echo "== negative check: a malformed spec must be rejected =="
 bad=$(mktemp)
